@@ -12,20 +12,54 @@ unreadable config), 2 runtime failure during the experiment.
 
 import argparse
 import sys
+from dataclasses import fields
 
 from ._version import __version__
-from .config import ConfigError, coerce_value, load_config
+from .config import MODELS, NOISE_KINDS, ConfigError, ExperimentConfig, coerce_value, load_config
 from .experiments import execute
 
+# command -> (experiment, description)
 COMMANDS = {
-    "phase-transition": "phase_transition",
-    "converge": "convergence_race",
-    "init-accuracy": "init_accuracy",
-    "noise-sweep": "noise_sweep",
-    "recover": "recover",
-    "image-demo": "image_demo",
-    "loss-surface": "loss_surface",
+    "phase-transition": ("phase_transition", "success rate vs number of measurements"),
+    "converge": ("convergence_race", "mean passes to a target error, shared initialization"),
+    "init-accuracy": ("init_accuracy", "spectral initialization error vs sample size"),
+    "noise-sweep": ("noise_sweep", "final error vs noise level"),
+    "recover": ("recover", "single recovery runs with full per-pass traces"),
+    "image-demo": ("image_demo", "recover a small grayscale image through CDP masks"),
+    "loss-surface": ("loss_surface", "expected amplitude/intensity loss grid dump"),
 }
+
+# (flag, config field, help) for the flags every command takes
+_COMMON_FLAGS = (
+    ("--n", "n", "signal dimension"),
+    ("--trials", "trials", "number of Monte Carlo trials"),
+    ("--seed", "seed", "master seed"),
+    ("--out", "output_path", "output CSV path (or directory)"),
+    ("--jobs", "jobs", "trial-level worker processes (default 1)"),
+    ("--model", "model", "sensing model"),
+    ("--m-over-n", "m_over_n", "comma-separated m/n ratios"),
+    ("--masks", "masks", "comma-separated CDP mask counts"),
+    ("--algo", "algorithms", "comma-separated algorithm list"),
+    ("--tol", "success_tol", "success tolerance"),
+    ("--budget", "iteration_budget", "pass/iteration budget"),
+    ("--k", "minibatch_k", "minibatch/block size"),
+    ("--mu", "mu", "batch step size override"),
+    ("--rho0", "rho0", "incremental step numerator"),
+    ("--record-every", "record_every", "trace recording stride"),
+    ("--noise", "noise_kind", "noise model at measurement time"),
+    ("--noise-level", "noise_level", "bounded noise level ||w||/(sqrt(m)||x||)"),
+    ("--alphas", "alphas", "comma-separated noise levels for sweeps"),
+)
+
+_COMMAND_FLAGS = {
+    "image-demo": (("--image", "image_path", "input plain PGM file"),),
+    "loss-surface": (
+        ("--rho-grid", "rho_grid", "number of correlation grid points"),
+        ("--normz-grid", "normz_grid", "number of ||z|| grid points"),
+    ),
+}
+
+_CHOICES = {"model": MODELS, "noise_kind": NOISE_KINDS}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -36,12 +70,19 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _list_flag(key):
+def _field_type(key):
     def convert(raw):
         return coerce_value(key, raw)
 
     convert.__name__ = key
     return convert
+
+
+def _add_flags(parser, flags):
+    for flag, key, text in flags:
+        parser.add_argument(
+            flag, dest=key, type=_field_type(key), choices=_CHOICES.get(key), help=text
+        )
 
 
 def build_parser():
@@ -55,93 +96,13 @@ def build_parser():
 
     common = _Parser(add_help=False)
     common.add_argument("--config", metavar="FILE", help="flat key = value config file")
-    common.add_argument("--n", type=int, help="signal dimension")
-    common.add_argument("--trials", type=int, help="number of Monte Carlo trials")
-    common.add_argument("--seed", type=int, help="master seed")
-    common.add_argument("--out", dest="output_path", help="output CSV path (or directory)")
-    common.add_argument("--jobs", type=int, help="trial-level worker processes (default 1)")
-    common.add_argument("--model", choices=("real", "complex", "cdp"), help="sensing model")
-    common.add_argument(
-        "--m-over-n", dest="m_over_n", type=_list_flag("m_over_n"),
-        help="comma-separated m/n ratios",
-    )
-    common.add_argument(
-        "--masks", type=_list_flag("masks"), help="comma-separated CDP mask counts"
-    )
-    common.add_argument(
-        "--algo", dest="algorithms", type=_list_flag("algorithms"),
-        help="comma-separated algorithm list",
-    )
-    common.add_argument("--tol", dest="success_tol", type=float, help="success tolerance")
-    common.add_argument(
-        "--budget", dest="iteration_budget", type=int, help="pass/iteration budget"
-    )
-    common.add_argument("--k", dest="minibatch_k", type=int, help="minibatch/block size")
-    common.add_argument("--mu", type=float, help="batch step size override")
-    common.add_argument("--rho0", type=float, help="incremental step numerator")
-    common.add_argument(
-        "--record-every", dest="record_every", type=int, help="trace recording stride"
-    )
-    common.add_argument(
-        "--noise", dest="noise_kind", choices=("none", "bounded", "poisson"),
-        help="noise model at measurement time",
-    )
-    common.add_argument(
-        "--noise-level", dest="noise_level", type=float,
-        help="bounded noise level ||w||/(sqrt(m)||x||)",
-    )
-    common.add_argument(
-        "--alphas", type=_list_flag("alphas"),
-        help="comma-separated noise levels for sweeps",
-    )
+    _add_flags(common, _COMMON_FLAGS)
 
-    descriptions = {
-        "phase-transition": "success rate vs number of measurements",
-        "converge": "mean passes to a target error, shared initialization",
-        "init-accuracy": "spectral initialization error vs sample size",
-        "noise-sweep": "final error vs noise level",
-        "recover": "single recovery runs with full per-pass traces",
-        "image-demo": "recover a small grayscale image through CDP masks",
-        "loss-surface": "expected amplitude/intensity loss grid dump",
-    }
-    for name, tag in COMMANDS.items():
-        sp = sub.add_parser(name, parents=[common], help=descriptions[name],
-                            description=descriptions[name])
+    for name, (tag, text) in COMMANDS.items():
+        sp = sub.add_parser(name, parents=[common], help=text, description=text)
         sp.set_defaults(experiment=tag)
-        if name == "image-demo":
-            sp.add_argument("--image", dest="image_path", help="input plain PGM file")
-        if name == "loss-surface":
-            sp.add_argument("--rho-grid", dest="rho_grid", type=int,
-                            help="number of correlation grid points")
-            sp.add_argument("--normz-grid", dest="normz_grid", type=int,
-                            help="number of ||z|| grid points")
+        _add_flags(sp, _COMMAND_FLAGS.get(name, ()))
     return parser
-
-
-_OVERRIDE_KEYS = (
-    "experiment",
-    "n",
-    "trials",
-    "seed",
-    "output_path",
-    "jobs",
-    "model",
-    "m_over_n",
-    "masks",
-    "algorithms",
-    "success_tol",
-    "iteration_budget",
-    "minibatch_k",
-    "mu",
-    "rho0",
-    "record_every",
-    "noise_kind",
-    "noise_level",
-    "alphas",
-    "image_path",
-    "rho_grid",
-    "normz_grid",
-)
 
 
 def main(argv=None):
@@ -153,7 +114,9 @@ def main(argv=None):
             print("phasekit: error: a command is required", file=sys.stderr)
             return 1
         overrides = {
-            k: getattr(ns, k) for k in _OVERRIDE_KEYS if getattr(ns, k, None) is not None
+            f.name: getattr(ns, f.name)
+            for f in fields(ExperimentConfig)
+            if getattr(ns, f.name, None) is not None
         }
         cfg = load_config(getattr(ns, "config", None), overrides)
     except ConfigError as exc:

@@ -31,6 +31,8 @@ EXPERIMENTS = (
 
 MODELS = ("real", "complex", "cdp")
 
+NOISE_KINDS = ("none", "bounded", "poisson")
+
 
 class ConfigError(ValueError):
     """Invalid configuration: unknown key, bad value, or broken invariant."""
@@ -92,7 +94,7 @@ class ExperimentConfig:
             raise ConfigError("rho0 must be positive")
         if self.record_every < 1:
             raise ConfigError("record_every must be >= 1")
-        if self.noise_kind not in ("none", "bounded", "poisson"):
+        if self.noise_kind not in NOISE_KINDS:
             raise ConfigError("unknown noise kind %r" % self.noise_kind)
         if self.noise_level < 0:
             raise ConfigError("noise_level must be >= 0")
@@ -107,43 +109,31 @@ class ExperimentConfig:
         return self
 
 
-_FIELD_NAMES = tuple(f.name for f in fields(ExperimentConfig))
-
-_LIST_ELEM = {"m_over_n": float, "masks": int, "algorithms": str, "alphas": float}
-_INT_KEYS = (
-    "n",
-    "trials",
-    "iteration_budget",
-    "minibatch_k",
-    "record_every",
-    "seed",
-    "rho_grid",
-    "normz_grid",
-    "jobs",
-)
-_FLOAT_KEYS = ("success_tol", "rho0", "noise_level")
+_FIELDS = {f.name: f for f in fields(ExperimentConfig)}
 
 
 def coerce_value(key, raw):
-    """Parse the raw string for `key` into its typed field value."""
-    if key not in _FIELD_NAMES:
+    """Parse the raw string for `key` into its typed field value.
+
+    The type is the field's annotation.  A tuple field takes comma-separated
+    entries of its default's element type; mu reads 'none' (or nothing) as
+    unset.
+    """
+    if key not in _FIELDS:
         raise ConfigError("unknown config key %r" % key)
+    field = _FIELDS[key]
     raw = raw.strip()
     try:
-        if key in _LIST_ELEM:
+        if field.type is tuple:
             parts = [p.strip() for p in raw.split(",") if p.strip()]
             if not parts:
                 raise ValueError("empty list")
-            return tuple(_LIST_ELEM[key](p) for p in parts)
+            return tuple(type(field.default[0])(p) for p in parts)
         if key == "mu":
             return None if raw.lower() in ("none", "") else float(raw)
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
+        return field.type(raw)
     except ValueError as exc:
         raise ConfigError("bad value for %s: %r (%s)" % (key, raw, exc)) from exc
-    return raw  # string-typed fields
 
 
 def parse_config_text(text):
@@ -179,7 +169,7 @@ def load_config(path=None, overrides=None):
         for key, raw in parse_config_text(text).items():
             values[key] = coerce_value(key, raw)
     for key, val in (overrides or {}).items():
-        if key not in _FIELD_NAMES:
+        if key not in _FIELDS:
             raise ConfigError("unknown config key %r" % key)
         if val is not None:
             values[key] = val

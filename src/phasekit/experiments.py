@@ -27,7 +27,7 @@ from .core import COMPLEX, REAL, best_phase, random_signal, relative_error
 from .pgm import read_pgm, write_pgm
 from .results import ResultTable, write_csv
 from .sensing import NoiseSpec, make_cdp, make_gaussian, measure
-from .solvers import SolverConfig, run
+from .solvers import RunTrace, SolverConfig, run
 from .spectral import InitParams, spectral_initialize
 from .streams import derive_seed, substream
 
@@ -101,6 +101,30 @@ def _init_for(cfg, y, A, labels):
     return spectral_initialize(y, A, InitParams(), seed=derive_seed(cfg.seed, "init", *labels))
 
 
+def _trial(cfg, labels, value, algorithms, level=None):
+    """One trial: instance, measurements, spectral init, then each solve.
+
+    Every algorithm starts from the same init.  Returns (x, A, init,
+    [(algorithm, trace, solve_seconds), ...]) in the order of `algorithms`.
+    """
+    x, A = make_instance(cfg.model, cfg.n, value, cfg.seed, labels)
+    y = measure(A, x, _noise_spec(cfg, x, labels, level=level))
+    init = _init_for(cfg, y, A, labels)
+    solved = []
+    for alg in algorithms:
+        t0 = time.perf_counter()
+        trace = run(y, A, init.z0, _solver_cfg(cfg, alg, labels), x_opt=x)
+        solved.append((alg, trace, time.perf_counter() - t0))
+    return x, A, init, solved
+
+
+def _final_errors(args):
+    """Pool worker: {algorithm: final relative error} for one trial."""
+    cfg, labels, value, level = args
+    _, _, _, solved = _trial(cfg, labels, value, cfg.algorithms, level)
+    return {alg: trace.final_error() for alg, trace, _ in solved}
+
+
 def _map_trials(worker, args, jobs):
     if jobs <= 1:
         return [worker(a) for a in args]
@@ -117,20 +141,6 @@ def _table(cfg, columns, rows):
 # --- phase transition ---------------------------------------------------
 
 
-def _pt_trial(args):
-    cfg, vi, trial = args
-    value = _sweep_values(cfg)[vi]
-    labels = ("pt", vi, trial)
-    x, A = make_instance(cfg.model, cfg.n, value, cfg.seed, labels)
-    y = measure(A, x, _noise_spec(cfg, x, labels))
-    init = _init_for(cfg, y, A, labels)
-    out = {}
-    for alg in cfg.algorithms:
-        trace = run(y, A, init.z0, _solver_cfg(cfg, alg, labels), x_opt=x)
-        out[alg] = trace.final_error()
-    return out
-
-
 def run_phase_transition(cfg):
     """Success fraction per (algorithm, sample-size point).
 
@@ -139,8 +149,12 @@ def run_phase_transition(cfg):
     ensemble, and initialization per trial; all algorithms share them.
     """
     values = _sweep_values(cfg)
-    args = [(cfg, vi, t) for vi in range(len(values)) for t in range(cfg.trials)]
-    finals = _map_trials(_pt_trial, args, cfg.jobs)
+    args = [
+        (cfg, ("pt", vi, t), value, None)
+        for vi, value in enumerate(values)
+        for t in range(cfg.trials)
+    ]
+    finals = _map_trials(_final_errors, args, cfg.jobs)
     rows = []
     for alg in cfg.algorithms:
         for vi, value in enumerate(values):
@@ -166,17 +180,8 @@ def run_phase_transition(cfg):
 
 def _race_trial(args):
     cfg, trial = args
-    value = _sweep_values(cfg)[0]
-    labels = ("race", trial)
-    x, A = make_instance(cfg.model, cfg.n, value, cfg.seed, labels)
-    y = measure(A, x, _noise_spec(cfg, x, labels))
-    init = _init_for(cfg, y, A, labels)  # shared start across algorithms
-    out = {}
-    for alg in cfg.algorithms:
-        t0 = time.perf_counter()
-        trace = run(y, A, init.z0, _solver_cfg(cfg, alg, labels), x_opt=x)
-        out[alg] = (trace.passes_used, time.perf_counter() - t0, trace.stop_reason)
-    return out
+    _, _, _, solved = _trial(cfg, ("race", trial), _sweep_values(cfg)[0], cfg.algorithms)
+    return {alg: (trace.passes_used, secs, trace.stop_reason) for alg, trace, secs in solved}
 
 
 def run_convergence_race(cfg):
@@ -210,11 +215,7 @@ def run_convergence_race(cfg):
 
 def _ia_trial(args):
     cfg, vi, trial = args
-    value = _sweep_values(cfg)[vi]
-    labels = ("ia", vi, trial)
-    x, A = make_instance(cfg.model, cfg.n, value, cfg.seed, labels)
-    y = measure(A, x, _noise_spec(cfg, x, labels))
-    init = _init_for(cfg, y, A, labels)
+    x, _, init, _ = _trial(cfg, ("ia", vi, trial), _sweep_values(cfg)[vi], ())
     return relative_error(init.z0, x)
 
 
@@ -241,25 +242,6 @@ def run_init_accuracy(cfg):
 # --- noise sweep ----------------------------------------------------------
 
 
-def _ns_levels(cfg):
-    return (0.0,) if cfg.noise_kind == "none" else cfg.alphas
-
-
-def _ns_trial(args):
-    cfg, li, trial = args
-    level = _ns_levels(cfg)[li]
-    value = _sweep_values(cfg)[0]
-    labels = ("ns", li, trial)
-    x, A = make_instance(cfg.model, cfg.n, value, cfg.seed, labels)
-    y = measure(A, x, _noise_spec(cfg, x, labels, level=level))
-    init = _init_for(cfg, y, A, labels)
-    out = {}
-    for alg in cfg.algorithms:
-        trace = run(y, A, init.z0, _solver_cfg(cfg, alg, labels), x_opt=x)
-        out[alg] = trace.final_error()
-    return out
-
-
 def run_noise_sweep(cfg):
     """Median final error per noise level.
 
@@ -267,9 +249,14 @@ def run_noise_sweep(cfg):
     reused as the list of relative levels ||w||/(sqrt(m) ||x||), reported in
     the same column.  noise_kind 'none' degenerates to one clean level 0.
     """
-    levels = _ns_levels(cfg)
-    args = [(cfg, li, t) for li in range(len(levels)) for t in range(cfg.trials)]
-    finals = _map_trials(_ns_trial, args, cfg.jobs)
+    levels = (0.0,) if cfg.noise_kind == "none" else cfg.alphas
+    value = _sweep_values(cfg)[0]
+    args = [
+        (cfg, ("ns", li, t), value, level)
+        for li, level in enumerate(levels)
+        for t in range(cfg.trials)
+    ]
+    finals = _map_trials(_final_errors, args, cfg.jobs)
     rows = []
     for alg in cfg.algorithms:
         for li, level in enumerate(levels):
@@ -308,12 +295,8 @@ def run_recover(cfg):
     rows = []
     value = _sweep_values(cfg)[0]
     for trial in range(cfg.trials):
-        labels = ("recover", trial)
-        x, A = make_instance(cfg.model, cfg.n, value, cfg.seed, labels)
-        y = measure(A, x, _noise_spec(cfg, x, labels))
-        init = _init_for(cfg, y, A, labels)
-        for alg in cfg.algorithms:
-            trace = run(y, A, init.z0, _solver_cfg(cfg, alg, labels), x_opt=x)
+        _, A, _, solved = _trial(cfg, ("recover", trial), value, cfg.algorithms)
+        for alg, trace, _ in solved:
             rows.extend(trace_rows(trace, trial, alg, cfg.n, A.m))
     return _table(cfg, TRACE_COLUMNS, rows)
 
@@ -350,49 +333,24 @@ def run_image_demo(cfg):
     L = int(cfg.masks[0])
     alg = cfg.algorithms[0]
 
-    if not np.any(x):
-        write_pgm(os.path.join(out_dir, "recovered.pgm"), np.zeros((h, w)), maxval)
-        rows = [
-            {
-                "trial_id": 0,
-                "algorithm": alg,
-                "n": n,
-                "m": n * L,
-                "pass_count": 0,
-                "relative_error": 0.0,
-                "loss": 0.0,
-            }
-        ]
-        write_csv(_table(cfg, TRACE_COLUMNS, rows), os.path.join(out_dir, "trace.csv"))
-        summary = _table(
-            cfg,
-            ("algorithm", "n", "masks", "passes_to_tol", "final_error", "stop_reason"),
-            [
-                {
-                    "algorithm": alg,
-                    "n": n,
-                    "masks": L,
-                    "passes_to_tol": 0,
-                    "final_error": 0.0,
-                    "stop_reason": "tol",
-                }
-            ],
-        )
-        write_csv(summary, os.path.join(out_dir, "summary.csv"))
-        return summary
-
-    labels = ("image",)
-    A = make_cdp(n, L, derive_seed(cfg.seed, "ensemble", *labels))
-    y = measure(A, x, _noise_spec(cfg, x, labels))
-    init = _init_for(cfg, y, A, labels)
     xc = x.astype(np.complex128)
-    trace = run(y, A, init.z0, _solver_cfg(cfg, alg, labels), x_opt=xc)
+    labels = ("image",)
+    if np.any(x):
+        A = make_cdp(n, L, derive_seed(cfg.seed, "ensemble", *labels))
+        y = measure(A, x, _noise_spec(cfg, x, labels))
+        init = _init_for(cfg, y, A, labels)
+        trace = run(y, A, init.z0, _solver_cfg(cfg, alg, labels), x_opt=xc)
+    else:
+        # nothing to initialize: the zero image is recovered at pass 0
+        trace = RunTrace(
+            iterate=np.zeros(n, np.complex128), history=[(0, 0.0, 0.0)], stop_reason="tol"
+        )
 
     aligned = (best_phase(trace.iterate, xc) * trace.iterate).real
     pixels = np.clip(np.rint(aligned * maxval), 0, maxval).reshape(h, w)
     write_pgm(os.path.join(out_dir, "recovered.pgm"), pixels, maxval)
     write_csv(
-        _table(cfg, TRACE_COLUMNS, trace_rows(trace, 0, alg, n, A.m)),
+        _table(cfg, TRACE_COLUMNS, trace_rows(trace, 0, alg, n, n * L)),
         os.path.join(out_dir, "trace.csv"),
     )
     passes = trace.passes_to(cfg.success_tol)
@@ -442,11 +400,8 @@ def execute(cfg):
     Returns (table, output_path).  The image demo manages its own output
     directory; every other experiment writes a single CSV file.
     """
-    runner = RUNNERS[cfg.experiment]
-    if cfg.experiment == "image_demo":
-        table = runner(cfg)
-        return table, cfg.output_path or DEFAULT_OUTPUTS["image_demo"]
-    table = runner(cfg)
+    table = RUNNERS[cfg.experiment](cfg)
     path = cfg.output_path or DEFAULT_OUTPUTS[cfg.experiment]
-    write_csv(table, path)
+    if cfg.experiment != "image_demo":
+        write_csv(table, path)
     return table, path

@@ -1,60 +1,11 @@
-"""Self-contained special functions: K0, scaled K0, and erfc.
+"""K0, scaled K0 and erfc as scalar functions over scipy.special.
 
-Nothing here depends on scipy.special; the test suite cross-checks these
-against independent references.  Accuracy targets: ~1e-13 relative for K0
-across (0, inf), 1e-12 relative for erfc on the real line.
-
-bessel_k0 pieces:
-  x <= 2   ascending series
-             K0 = -(ln(x/2) + g) I0(x) + sum_k (x^2/4)^k / (k!)^2 * H_k,
-           with H_k the harmonic numbers and g the Euler-Mascheroni
-           constant (converges in < 25 terms on this range).
-  x > 2    the integral K0(x) = int_0^inf e^{-x cosh u} du substituted
-           with cosh u = 1 + s^2/(2x)/... , giving
-             e^x K0(x) = (2x)^{-1/2} int e^{-s^2} (1 + s^2/(2x))^{-1/2} ds
-           over the real line, evaluated by 96-node Gauss-Hermite
-           quadrature (the integrand is smooth and even; 96 nodes leave
-           the error at machine level for all x >= 2).
-
-erfc pieces:
-  z <= 2   1 - erf(z) with the positive-term series
-             erf(z) = (2/sqrt(pi)) z e^{-z^2} sum_k (2z^2)^k / (2k+1)!!
-  z > 2    Laplace continued fraction
-             erfc(z) = e^{-z^2}/sqrt(pi) / (z + (1/2)/(z + (2/2)/(z + ...)))
-           by the modified Lentz recurrence.
-  z < 0    reflection erfc(z) = 2 - erfc(-z).
+The Bessel functions are defined for x > 0 only.  Where scipy.special
+returns inf or nan for x <= 0, these raise ValueError.  All three take
+and return Python floats.
 """
 
-import math
-
-import numpy as np
-
-_K0_CUT = 2.0
-_GH_NODES, _GH_WEIGHTS = np.polynomial.hermite.hermgauss(96)
-
-_ERFC_CUT = 2.0
-_TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
-
-
-def _k0_series(x):
-    q = 0.25 * x * x
-    term = 1.0
-    i0 = 1.0
-    hsum = 0.0
-    h = 0.0
-    for k in range(1, 80):
-        term *= q / (k * k)
-        h += 1.0 / k
-        i0 += term
-        hsum += term * h
-        if term * (h + 1.0) < 1e-18 * (i0 + hsum):
-            break
-    return -(math.log(0.5 * x) + np.euler_gamma) * i0 + hsum
-
-
-def _k0e_tail(x):
-    f = 1.0 / np.sqrt(1.0 + _GH_NODES * _GH_NODES / (2.0 * x))
-    return float(_GH_WEIGHTS @ f) / math.sqrt(2.0 * x)
+import scipy.special
 
 
 def bessel_k0(x):
@@ -62,9 +13,7 @@ def bessel_k0(x):
     x = float(x)
     if x <= 0:
         raise ValueError("bessel_k0 requires x > 0")
-    if x <= _K0_CUT:
-        return _k0_series(x)
-    return math.exp(-x) * _k0e_tail(x)
+    return float(scipy.special.k0(x))
 
 
 def bessel_k0e(x):
@@ -72,52 +21,9 @@ def bessel_k0e(x):
     x = float(x)
     if x <= 0:
         raise ValueError("bessel_k0e requires x > 0")
-    if x <= _K0_CUT:
-        return math.exp(x) * _k0_series(x)
-    return _k0e_tail(x)
-
-
-def _erf_series(z):
-    # positive terms only, so no cancellation on 0 < z <= 2
-    t = 2.0 * z * z
-    term = 1.0
-    s = 1.0
-    for k in range(1, 200):
-        term *= t / (2 * k + 1)
-        s += term
-        if term < 1e-18 * s:
-            break
-    return _TWO_OVER_SQRT_PI * z * math.exp(-z * z) * s
-
-def _erfc_cf(z, max_iter=300):
-    # modified Lentz on the Laplace continued fraction
-    tiny = 1e-300
-    f = z
-    c = f
-    d = 0.0
-    for k in range(1, max_iter):
-        a = 0.5 * k
-        d = z + a * d
-        if d == 0.0:
-            d = tiny
-        c = z + a / c
-        if c == 0.0:
-            c = tiny
-        d = 1.0 / d
-        delta = c * d
-        f *= delta
-        if abs(delta - 1.0) < 1e-17:
-            break
-    return math.exp(-z * z) / math.sqrt(math.pi) / f
+    return float(scipy.special.k0e(x))
 
 
 def erfc(z):
-    """Complementary error function, ~1e-12 relative over the real line."""
-    z = float(z)
-    if z < 0:
-        return 2.0 - erfc(-z)
-    if z == 0:
-        return 1.0
-    if z <= _ERFC_CUT:
-        return 1.0 - _erf_series(z)
-    return _erfc_cf(z)
+    """Complementary error function over the real line."""
+    return float(scipy.special.erfc(float(z)))

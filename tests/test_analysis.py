@@ -1,7 +1,8 @@
 """Expected-loss oracles, the |uv| density, and the sign-flip tail bound.
 
-The quadrature route is checked against the independent closed form
-E|uv| = (2/pi) (sqrt(1-rho^2) + rho arcsin rho), which never touches K0.
+E|uv| is checked against the closed form
+E|uv| = (2/pi) (sqrt(1-rho^2) + rho arcsin rho), against the first moment
+of the |uv| density (a K0 route integrated by scipy), and by Monte Carlo.
 """
 
 import math
@@ -40,7 +41,33 @@ def test_abs_product_moment_range_and_monotone():
 def test_abs_product_moment_degenerate_branch():
     assert abs_product_moment(1.0) == 1.0
     assert abs_product_moment(-1.0) == 1.0
-    assert abs_product_moment(1.0 - 1e-9) == 1.0
+    # 1 - eps + O(eps^1.5), not the clamp to 1
+    assert abs(abs_product_moment(1.0 - 1e-9) - (1.0 - 1e-9)) < 1e-13
+
+
+def test_abs_product_moment_near_unit_correlation():
+    # 1 - |rho| across [1e-10, 0.3], where an earlier quadrature route raised
+    gaps = np.logspace(-10, math.log10(0.3), 142)[::-1]
+    for sign in (1.0, -1.0):
+        rhos = sign * (1.0 - gaps)  # |rho| increasing
+        moments = [abs_product_moment(r) for r in rhos]
+        losses = [expected_rwf_loss(CorrelationState(r)) for r in rhos]
+        assert all(math.isfinite(v) and 2.0 / math.pi <= v <= 1.0 for v in moments)
+        assert all(math.isfinite(v) and 0.0 <= v <= 1.0 - 2.0 / math.pi for v in losses)
+        assert all(b >= a for a, b in zip(moments, moments[1:]))
+        assert all(b <= a for a, b in zip(losses, losses[1:]))
+    for rho in (0.99, 0.996, 0.999, -0.999):
+        first, _ = scipy.integrate.quad(
+            lambda x: x * product_magnitude_density(x, rho),
+            0.0,
+            np.inf,
+            epsabs=1e-14,
+            epsrel=1e-13,
+            limit=200,
+        )
+        assert abs(first - abs_product_moment(rho)) < 5e-13
+    assert abs_product_moment(1.0 + 1e-13) == 1.0
+    assert abs_product_moment(-1.0 - 1e-13) == 1.0
 
 
 def test_abs_product_moment_rejects_out_of_range():

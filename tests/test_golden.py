@@ -66,7 +66,7 @@ GOLDEN = {
     "init_accuracy": "72f5570b1613e960781445061d4dc4e9abec93630364bf0f3072ea3fcedb5e51",
     "noise_sweep": "f13918aaf8f885d39272e12030df944155c1b121ab1a81021b311dbc9d0f9da2",
     "recover": "5b17b704f10db8e4103ca1554fa6eb02c6bedcca1de8860af818ef49495bfd93",
-    "loss_surface": "38b6c018fe9ad1d8dfbfc5914659b2008fbbba4ee83d5ec9c0c34a45e51976e8",
+    "loss_surface": "de0ae8fed74871278a85edfc61836ca2720db69bce58e1f27d4bc3bab9c6eea1",
     "image_demo": "b8f2fc0351a6881b7aa94793060208af103fd7588d5832e6e604dd9f1d5ab60b",
     "image_demo_all_zero": "64069a71444090d54f4914cdff72754f56ddea4bff6a50f5d15adaaf983039ea",
 }
