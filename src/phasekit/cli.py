@@ -80,8 +80,15 @@ def _field_type(key):
 
 def _add_flags(parser, flags):
     for flag, key, text in flags:
+        # a flag the user did not pass stays out of the namespace, so every
+        # attribute present is an override (`--mu none` included)
         parser.add_argument(
-            flag, dest=key, type=_field_type(key), choices=_CHOICES.get(key), help=text
+            flag,
+            dest=key,
+            type=_field_type(key),
+            choices=_CHOICES.get(key),
+            default=argparse.SUPPRESS,
+            help=text,
         )
 
 
@@ -114,9 +121,7 @@ def main(argv=None):
             print("phasekit: error: a command is required", file=sys.stderr)
             return 1
         overrides = {
-            f.name: getattr(ns, f.name)
-            for f in fields(ExperimentConfig)
-            if getattr(ns, f.name, None) is not None
+            f.name: getattr(ns, f.name) for f in fields(ExperimentConfig) if hasattr(ns, f.name)
         }
         cfg = load_config(getattr(ns, "config", None), overrides)
     except ConfigError as exc:

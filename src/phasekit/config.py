@@ -156,8 +156,10 @@ def parse_config_text(text):
 def load_config(path=None, overrides=None):
     """ExperimentConfig from defaults, then config file, then overrides.
 
-    `overrides` holds already-typed values (CLI flags).  Validation runs on
-    the merged result; any problem raises ConfigError.
+    `overrides` holds already-typed values (CLI flags).  Every override
+    applies; None unsets the field back to its built-in default (for mu,
+    unset).  Validation runs on the merged result; any problem raises
+    ConfigError.
     """
     values = {}
     if path is not None:
@@ -171,8 +173,7 @@ def load_config(path=None, overrides=None):
     for key, val in (overrides or {}).items():
         if key not in _FIELDS:
             raise ConfigError("unknown config key %r" % key)
-        if val is not None:
-            values[key] = val
+        values[key] = _FIELDS[key].default if val is None else val
     return ExperimentConfig(**values).validate()
 
 

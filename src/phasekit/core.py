@@ -19,6 +19,7 @@ COMPLEX = "complex"
 
 _FIELD_TAG = {REAL: 0, COMPLEX: 1}
 _TAG_FIELD = {0: REAL, 1: COMPLEX}
+_TINY = np.finfo(np.float64).tiny  # smallest normal float64
 
 
 def field_of(z):
@@ -97,6 +98,10 @@ def best_phase(z, x):
     z, x = _check_pair(z, x)
     if np.iscomplexobj(z):
         ip = np.vdot(z, x)  # conj(z) . x = <x, z>
+        if abs(ip) < _TINY:
+            # the complex division takes 1/|ip|, which overflows below the
+            # normal range; scaling by a power of two is exact
+            ip = ip * 2.0**600
         a = abs(ip)
         return ip / a if a > 0 else 1.0 + 0j
     return 1.0 if np.dot(z, x) >= 0 else -1.0

@@ -184,9 +184,13 @@ class GaussianEnsemble(Ensemble):
 
     def row_sqnorms(self):
         if self._sqnorms is None:
-            self._sqnorms = np.einsum(
-                "ij,ij->i", self.rows, np.conj(self.rows)
-            ).real.copy()
+            # a block of rows at a time, so the conjugated copy stays small;
+            # each row's sum is the same as over the whole matrix
+            sq = np.empty(self.m)
+            for s in range(0, self.m, 256):
+                b = self.rows[s : s + 256]
+                sq[s : s + 256] = np.einsum("ij,ij->i", b, np.conj(b)).real
+            self._sqnorms = sq
         return self._sqnorms
 
     def row_l1_sum(self):
@@ -264,7 +268,12 @@ def make_gaussian(n, m, field, seed):
     if field == REAL:
         rows = rng.standard_normal((m, n))
     elif field == COMPLEX:
-        rows = (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))) / np.sqrt(2.0)
+        # filled in place from the same draws as (re + 1j*im)/sqrt(2), without
+        # the complex temporaries
+        rows = np.empty((m, n), dtype=np.complex128)
+        rows.real = rng.standard_normal((m, n))
+        rows.imag = rng.standard_normal((m, n))
+        rows /= np.sqrt(2.0)
     else:
         raise ValueError("unknown field %r" % (field,))
     return GaussianEnsemble(rows, seed)

@@ -13,12 +13,15 @@ real field); the zero convention keeps the nonsmooth point harmless.
 
 Pass accounting: one pass = one batch iteration = m single-sample updates
 = ceil(m/k) minibatch updates, so per-pass costs are comparable across
-algorithms.
+algorithms.  A recorded rwf or wf pass costs one forward and one adjoint
+product: the A z that monitoring computes is the one the next gradient
+uses.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import cho_solve, get_lapack_funcs
 
 from .core import (
     COMPLEX,
@@ -28,7 +31,7 @@ from .core import (
     phase,
     relative_error,
 )
-from .sensing import CDP
+from .sensing import CDP, GaussianEnsemble
 from .streams import substream
 
 ALGORITHMS = (
@@ -208,7 +211,10 @@ def block_kaczmarz_step(z, gamma, y, A):
     z - A_G^+ (A_G z - y_G . ph(A_G z)) with A_G^+ = A_G^*(A_G A_G^*)^-1,
     valid while the block rows are independent (|G| <= n).  A full
     coded-diffraction mask block has A_G A_G^* = n I exactly, so that case
-    skips the dense solve and runs at FFT cost.
+    skips the dense solve and runs at FFT cost.  Otherwise A_G A_G^* is
+    factored by Cholesky; LinAlgError is raised when the factorization
+    fails or its reciprocal condition estimate is below
+    1/BLOCK_CONDITION_LIMIT.
     """
     gamma = _check_block(gamma, A.m)
     if gamma.size > A.n:
@@ -226,13 +232,15 @@ def block_kaczmarz_step(z, gamma, y, A):
     M = np.conj(B) if np.iscomplexobj(B) else B  # A_G, so that fz = M z
     fz = M @ (z.astype(M.dtype, copy=False) if np.iscomplexobj(M) else z)
     resid = fz - y.values[gamma] * phase(fz)
-    G = M @ np.conj(M).T
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cond = np.linalg.cond(G)
-    if not np.isfinite(cond) or cond > BLOCK_CONDITION_LIMIT:
+    G = M @ B.T  # A_G A_G^*; B @ B.T (one SYRK) for real rows
+    potrf, pocon = get_lapack_funcs(("potrf", "pocon"), (G,))
+    c, info = potrf(G)
+    if info == 0:
+        rcond, info = pocon(c, np.abs(G).sum(axis=0).max())
+    # the negated test also rejects a NaN estimate
+    if info != 0 or not rcond * BLOCK_CONDITION_LIMIT >= 1:
         raise np.linalg.LinAlgError("degenerate block")
-    s = np.linalg.solve(G, resid)
-    return z - np.conj(M).T @ s
+    return z - B.T @ cho_solve((c, False), resid, check_finite=False)
 
 
 def _resolve_batch_step(cfg, A, z0):
@@ -274,9 +282,11 @@ def run(y, A, z0, cfg, x_opt=None):
         fz = A.apply(zc)
         loss = loss_fn(fz, yv)
         rel = float("nan") if use_loss else relative_error(zc, x_opt)
-        return rel, loss, (loss if use_loss else rel)
+        return fz, rel, loss, (loss if use_loss else rel)
 
-    rel0, loss0, gauge0 = observe(z)
+    # fz holds A z for the current z once observe() has computed it, so a
+    # recorded batch pass costs one forward product, not two
+    fz, rel0, loss0, gauge0 = observe(z)
     history = [(0, rel0, loss0)]
     if gauge0 <= cfg.tol:
         return RunTrace(z, history, 0, "tol")
@@ -286,38 +296,45 @@ def run(y, A, z0, cfg, x_opt=None):
         mu = _resolve_batch_step(cfg, A, z)
     elif alg in ("irwf", "minibatch_irwf"):
         step = cfg.rho0 / n
-    if alg == "kaczmarz_pr":
-        inv_sq = 1.0 / A.row_sqnorms()
+    if alg in ("irwf", "kaczmarz_pr"):
+        # per-sample loop state as Python scalars, converted once per run
+        yl = yv.tolist()
+        steps = (1.0 / A.row_sqnorms()).tolist() if alg == "kaczmarz_pr" else [step] * m
+        row = A.rows.__getitem__ if isinstance(A, GaussianEnsemble) else A.row
+        vdot, dot = np.vdot, np.dot
     k = min(cfg.minibatch_k, m)
     updates_per_pass = -(-m // k)  # ceil(m/k)
     cplx = A.field == COMPLEX
-    row = A.row
 
     stop_reason = "budget"
     passes_used = 0
     for p in range(1, cfg.max_passes + 1):
         if alg == "rwf":
-            fz = A.apply(z)
+            if fz is None:
+                fz = A.apply(z)
             z -= (mu / m) * A.adjoint_apply(fz - yv * phase(fz))
         elif alg == "wf":
-            fz = A.apply(z)
+            if fz is None:
+                fz = A.apply(z)
             z -= (mu / m) * A.adjoint_apply((np.abs(fz) ** 2 - yv**2) * fz)
         elif alg in ("irwf", "kaczmarz_pr"):
-            idx = rng.integers(0, m, size=m)
+            idx = rng.integers(0, m, size=m).tolist()
             if cplx:
                 for i in idx:
                     a = row(i)
-                    # scalar work stays in _scalar_phase so single steps
-                    # taken through irwf_step replay this loop bit-for-bit
-                    t = complex(np.vdot(a, z))
-                    c = t - yv[i] * _scalar_phase(t)
-                    z -= ((c * inv_sq[i]) if alg == "kaczmarz_pr" else (step * c)) * a
+                    # the same scalar arithmetic as irwf_step's _scalar_phase,
+                    # so single steps replay this loop bit-for-bit
+                    t = complex(vdot(a, z))
+                    r = abs(t)
+                    c = t - yl[i] * (t / r if r > 0 else 0.0)
+                    z -= (c * steps[i]) * a
             else:
                 for i in idx:
                     a = row(i)
-                    t = a @ z
-                    c = t - yv[i] * (1.0 if t > 0 else (-1.0 if t < 0 else 0.0))
-                    z -= ((c * inv_sq[i]) if alg == "kaczmarz_pr" else (step * c)) * a
+                    t = float(dot(a, z))
+                    # t - y sign(t), with sign(0) = 0
+                    c = t - yl[i] if t > 0 else (t + yl[i] if t < 0 else t)
+                    z -= (c * steps[i]) * a
         elif alg == "minibatch_irwf":
             for _ in range(updates_per_pass):
                 gamma = rng.choice(m, size=k, replace=False)
@@ -337,9 +354,10 @@ def run(y, A, z0, cfg, x_opt=None):
                     gamma = rng.choice(m, size=k, replace=False)
                     z = block_kaczmarz_step(z, gamma, y, A)
         passes_used = p
+        fz = None
 
         if p % cfg.record_every == 0 or p == cfg.max_passes:
-            rel, loss, gauge = observe(z)
+            fz, rel, loss, gauge = observe(z)
             if not np.isfinite(gauge):
                 # keep history finite; the blown-up point is not recorded
                 stop_reason = "diverged"

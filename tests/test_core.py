@@ -87,6 +87,14 @@ def test_dist_resolves_tiny_errors():
     assert d > 0.0
 
 
+def test_best_phase_subnormal_inner_product():
+    # |<z, x>| below the normal range once made the phase division overflow
+    z, x = np.array([1j]), np.array([2.2250738585e-311j])
+    assert best_phase(z, x) == 1.0
+    assert dist_up_to_phase(z, x) == 1.0
+    assert dist_up_to_phase(-z, x) == 1.0
+
+
 @given(signal_pairs(COMPLEX), st.floats(min_value=0.0, max_value=2.0 * np.pi))
 def test_dist_phase_invariance(pair, theta):
     z, x = pair

@@ -558,6 +558,26 @@ def test_cli_flag_overrides_config(tmp_path):
     assert meta["seed"] == "6"
 
 
+def _recover_with_mu(tmp_path, flags):
+    cfgfile = tmp_path / "r.cfg"
+    out = tmp_path / "trace.csv"
+    cfgfile.write_text(
+        "experiment = recover\nn = 10\nm_over_n = 5\nalgorithms = rwf\n"
+        "trials = 1\niteration_budget = 10\nseed = 4\nmu = 0.5\n"
+    )
+    assert main(["recover", "--config", str(cfgfile), "--out", str(out)] + flags) == 0
+    meta, _, _ = read_csv(str(out))
+    return meta["mu"]
+
+
+def test_cli_mu_none_unsets_config_mu(tmp_path):
+    assert _recover_with_mu(tmp_path, ["--mu", "none"]) == "None"
+
+
+def test_cli_absent_flag_keeps_config_mu(tmp_path):
+    assert _recover_with_mu(tmp_path, []) == "0.5"
+
+
 def test_cli_missing_config_exits_1(tmp_path, capsys):
     out = tmp_path / "never.csv"
     code = main(["recover", "--config", str(tmp_path / "absent.cfg"), "--out", str(out)])

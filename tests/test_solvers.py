@@ -12,6 +12,7 @@ from phasekit.core import (
     COMPLEX,
     REAL,
     dist_up_to_phase,
+    phase,
     random_signal,
     relative_error,
     rwf_loss,
@@ -293,6 +294,26 @@ def test_block_kaczmarz_oversized_block():
         block_kaczmarz_step(x, [0, 1, 2, 3], y, A)
 
 
+@pytest.mark.parametrize("second", [[1.0, 1e-8], [1.0, 1e-8j]])
+def test_block_kaczmarz_nearly_dependent_block(second):
+    A = from_rows([[1.0, 0.0], second])
+    y = Measurements(np.array([1.0, 1.0]))
+    with pytest.raises(np.linalg.LinAlgError):
+        block_kaczmarz_step(np.array([2.0, 1.0], dtype=A.rows.dtype), [0, 1], y, A)
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+def test_block_kaczmarz_matches_pseudoinverse(field):
+    A, x, y = _instance(20, 80, field, seed=48)
+    z = random_signal(20, field, substream(481))
+    gamma = np.array([5, 17, 2, 60, 33, 71, 9, 44, 28, 50, 13])
+    AG = A.materialize()[gamma]
+    fz = AG @ z
+    want = z - np.linalg.pinv(AG) @ (fz - y.values[gamma] * phase(fz))
+    got = block_kaczmarz_step(z, gamma, y, A)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
 def test_cdp_full_mask_gram_is_n_identity():
     A = make_cdp(8, 3, seed=45)
     gamma = np.arange(8, 16)
@@ -448,6 +469,46 @@ def test_run_is_deterministic():
     assert tr1.history == tr2.history
     tr3 = run(y, A, z0, SolverConfig(algorithm="irwf", max_passes=3, tol=1e-15, seed=18), x_opt=x)
     assert not np.array_equal(tr1.iterate, tr3.iterate)
+
+
+class _CountingEnsemble:
+    """Delegates to an ensemble and counts its forward and adjoint products."""
+
+    def __init__(self, A):
+        self._A = A
+        self.applies = 0
+        self.adjoints = 0
+
+    def __getattr__(self, name):
+        return getattr(self._A, name)
+
+    def apply(self, z):
+        self.applies += 1
+        return self._A.apply(z)
+
+    def adjoint_apply(self, v):
+        self.adjoints += 1
+        return self._A.adjoint_apply(v)
+
+
+@pytest.mark.parametrize("alg", ["rwf", "wf"])
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+def test_run_batch_pass_reuses_monitored_product(alg, field):
+    # every pass needs one A z: the monitored one when the previous pass was
+    # recorded, its own otherwise; so P passes take P + 1 forward products
+    # at any stride, and the iterate does not depend on the stride
+    P = 7
+    A, x, y = _instance(8, 48, field, seed=57)
+    z0 = random_signal(8, field, substream(571))
+    iterates = []
+    for every in (1, 3, P):
+        counted = _CountingEnsemble(A)
+        cfg = SolverConfig(algorithm=alg, max_passes=P, tol=1e-300, record_every=every)
+        tr = run(y, counted, z0, cfg, x_opt=x)
+        assert tr.passes_used == P
+        assert (counted.applies, counted.adjoints) == (P + 1, P)
+        iterates.append(tr.iterate)
+    assert all(np.array_equal(iterates[0], z) for z in iterates[1:])
 
 
 # --- run loop vs public step functions (bitwise replay) ----------------------
