@@ -1,16 +1,18 @@
 #!/usr/bin/env python3
 """Time one monitored pass of each solver and record it in a BENCH json.
 
-    python3 scripts/bench.py --label after --out BENCH_4.json [--reps 7]
+    python3 scripts/bench.py --label after --out BENCH_5.json [--reps 15]
 
 Run from any directory: the script imports phasekit from the src/ next to
 it, so a copy placed in another checkout times that checkout's code.  Each
-row is one solver pass on a seeded Gaussian instance (n=1000, m=8n, real
-and complex), recording every pass: seconds of a `run` with max_passes =
-PASSES divided by PASSES, so the start's monitoring product is spread over
-the passes.  Each row keeps the median and min over --reps repeats.  BLAS
-threads default to 1 (an environment setting wins and is recorded), so
-the rows measure the code, not the thread pool.  The run is stored under
+row is one solver pass on a seeded instance, recording every pass: seconds
+of a `run` with max_passes = PASSES divided by PASSES, so the start's
+monitoring product is spread over the passes.  Every algorithm runs on a
+real and a complex Gaussian instance (n=1000, m=8n, k=64), and block
+Kaczmarz also on a coded-diffraction instance (n=1000, 8 masks) with k=n,
+where each block is a whole mask.  Each row keeps the median and min over
+--reps repeats.  BLAS threads default to 1 (an environment setting wins
+and is recorded), so the rows measure the code, not the thread pool.  The run is stored under
 --label in --out, next to the runs already there.
 """
 
@@ -31,12 +33,12 @@ import numpy as np  # noqa: E402
 import scipy  # noqa: E402
 
 from phasekit.core import COMPLEX, REAL, random_signal  # noqa: E402
-from phasekit.sensing import make_gaussian, measure  # noqa: E402
+from phasekit.sensing import make_cdp, make_gaussian, measure  # noqa: E402
 from phasekit.solvers import SolverConfig, run  # noqa: E402
 from phasekit.streams import substream  # noqa: E402
 
 N, RATIO, PASSES, K = 1000, 8, 3, 64
-ALGORITHMS = ("rwf", "irwf", "kaczmarz_pr", "block_kaczmarz_pr")
+ALGORITHMS = ("rwf", "wf", "irwf", "kaczmarz_pr", "minibatch_irwf", "block_kaczmarz_pr")
 
 
 def _blas(module):
@@ -60,8 +62,8 @@ def machine():
     }
 
 
-def time_pass(y, A, z0, alg, reps):
-    cfg = SolverConfig(algorithm=alg, max_passes=PASSES, tol=1e-300, minibatch_k=K, seed=3)
+def time_pass(y, A, z0, alg, k, reps):
+    cfg = SolverConfig(algorithm=alg, max_passes=PASSES, tol=1e-300, minibatch_k=k, seed=3)
     secs = []
     for _ in range(reps):
         t0 = time.perf_counter()
@@ -82,22 +84,25 @@ def main():
         ap.error("--reps must be at least 5")
 
     rows = []
-    for model, fld in (("real", REAL), ("complex", COMPLEX)):
-        m = RATIO * N
-        A = make_gaussian(N, m, fld, seed=11)
-        y = measure(A, random_signal(N, fld, substream(11, "x")))
-        z0 = random_signal(N, fld, substream(11, "z0"))
-        for alg in ALGORITHMS:
-            med, low = time_pass(y, A, z0, alg, args.reps)
-            rows.append({"layer": "solvers.%s.pass" % alg, "model": model, "n": N, "m": m,
-                         "reps": args.reps, "median_s": med, "min_s": low})
+    for model, algs, k in (("real", ALGORITHMS, K), ("complex", ALGORITHMS, K),
+                           ("cdp", ("block_kaczmarz_pr",), N)):
+        if model == "cdp":
+            A = make_cdp(N, RATIO, seed=11)
+        else:
+            A = make_gaussian(N, RATIO * N, REAL if model == "real" else COMPLEX, seed=11)
+        y = measure(A, random_signal(N, A.field, substream(11, "x")))
+        z0 = random_signal(N, A.field, substream(11, "z0"))
+        for alg in algs:
+            med, low = time_pass(y, A, z0, alg, k, args.reps)
+            rows.append({"layer": "solvers.%s.pass" % alg, "model": model, "n": N, "m": A.m,
+                         "k": k, "reps": args.reps, "median_s": med, "min_s": low})
             print("%-28s %-8s median %.4f s  min %.4f s" % (rows[-1]["layer"], model, med, low))
 
     path = Path(args.out)
     doc = json.loads(path.read_text()) if path.exists() else {}
     doc.setdefault("runs", {})[args.label] = {
         "machine": machine(),
-        "what": "seconds per pass of a %d-pass run recording every pass, k=%d" % (PASSES, K),
+        "what": "seconds per pass of a %d-pass run recording every pass" % PASSES,
         "rows": rows,
     }
     path.write_text(json.dumps(doc, indent=1) + "\n")

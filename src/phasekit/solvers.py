@@ -16,6 +16,9 @@ Pass accounting: one pass = one batch iteration = m single-sample updates
 algorithms.  A recorded rwf or wf pass costs one forward and one adjoint
 product: the A z that monitoring computes is the one the next gradient
 uses.
+
+Each update formula lives in one private kernel that changes z in place:
+the public step functions apply it to a copy of z, run() to its iterate.
 """
 
 from dataclasses import dataclass, field
@@ -123,42 +126,81 @@ class RunTrace:
         return None
 
 
-def _scalar_phase(t):
-    if isinstance(t, complex):
-        a = abs(t)
-        return t / a if a > 0 else 0.0
-    return float(np.sign(t))
+def _checked_copy(z, y, A):
+    """z as a new float64/complex128 vector after checking y and z against A
+    (non-finite entries pass, so run()'s divergence check sees them)."""
+    if y.m != A.m:
+        raise ValueError("measurement count does not match ensemble")
+    cplx = A.field == COMPLEX or np.iscomplexobj(z)
+    z = np.array(z, dtype=np.complex128 if cplx else np.float64)
+    if z.shape != (A.n,):
+        raise ValueError("signal length does not match n")
+    return z
+
+
+def _amplitude_residual(fz, y):
+    """fz - y . ph(fz) at fz = A z: the amplitude-loss residual."""
+    return fz - y * phase(fz)
+
+
+def _intensity_residual(fz, y):
+    """(|fz|^2 - y^2) . fz at fz = A z: the intensity-loss residual."""
+    return (np.abs(fz) ** 2 - y**2) * fz
+
+
+def _sample_updates(z, idx, y, steps, row):
+    """z -= steps[i] (a_i^* z - y_i ph(a_i^* z)) a_i for each i of idx, in
+    order; row(i) is a_i.  run() passes y and steps as Python lists."""
+    vdot, dot = np.vdot, np.dot
+    if np.iscomplexobj(z):
+        for i in idx:
+            a = row(i)
+            t = complex(vdot(a, z))
+            r = abs(t)
+            c = t - y[i] * (t / r if r > 0 else 0.0)
+            z -= (c * steps[i]) * a
+    else:
+        for i in idx:
+            a = row(i)
+            t = float(dot(a, z))
+            # t - y sign(t), with sign(0) = 0
+            c = t - y[i] if t > 0 else (t + y[i] if t < 0 else t)
+            z -= (c * steps[i]) * a
+    return z
+
+
+def _block_update(z, gamma, y, A, step):
+    """z -= step A_G^*(A_G z - y_G . ph(A_G z)), the minibatch update."""
+    z -= step * A.block_adjoint(gamma, _amplitude_residual(A.block_apply(gamma, z), y[gamma]))
+    return z
+
+
+def _mask_projection(z, l, y, A):
+    """z -= A_l^*(A_l z - y_l . ph(A_l z)) / n: the exact projection onto
+    coded-diffraction mask l's measurements, since A_l A_l^* = n I."""
+    n = A.n
+    resid = _amplitude_residual(A.mask_apply(l, z), y[l * n : (l + 1) * n])
+    z -= A.mask_adjoint(l, resid) / n
+    return z
 
 
 def rwf_gradient(z, y, A):
     """(1/m) A^*(A z - y . ph(A z)), the amplitude-loss search direction."""
-    if y.m != A.m:
-        raise ValueError("measurement count does not match ensemble")
-    fz = A.apply(z)
-    return A.adjoint_apply(fz - y.values * phase(fz)) / A.m
+    z = _checked_copy(z, y, A)
+    return A.adjoint_apply(_amplitude_residual(A.apply(z), y.values)) / A.m
 
 
 def wf_gradient(z, y, A):
     """(1/m) A^*((|A z|^2 - y^2) . A z), the intensity-loss gradient."""
-    if y.m != A.m:
-        raise ValueError("measurement count does not match ensemble")
-    fz = A.apply(z)
-    return A.adjoint_apply((np.abs(fz) ** 2 - y.values**2) * fz) / A.m
+    z = _checked_copy(z, y, A)
+    return A.adjoint_apply(_intensity_residual(A.apply(z), y.values)) / A.m
 
 
 def irwf_step(z, i, y, A, step=None):
     """Single-sample update z - step (a_i^* z - y_i ph(a_i^* z)) a_i."""
-    if not 0 <= i < A.m:
-        raise IndexError("sample index %d out of range" % i)
-    if step is None:
-        step = 1.0 / A.n
-    a = A.row(i)
-    if np.iscomplexobj(a) or np.iscomplexobj(z):
-        t = complex(np.vdot(a, z))
-    else:
-        t = float(np.dot(a, z))
-    resid = t - y.values[i] * _scalar_phase(t)
-    return z - (step * resid) * a
+    z = _checked_copy(z, y, A)
+    step = 1.0 / A.n if step is None else step
+    return _sample_updates(z, [i], y.values, {i: step}, A.row)  # A.row checks i
 
 
 def kaczmarz_step(z, i, y, A):
@@ -186,23 +228,17 @@ def _check_block(gamma, m):
 def minibatch_irwf_step(z, gamma, y, A, step=None):
     """Block update z - step A_G^*(A_G z - y_G . ph(A_G z))."""
     gamma = _check_block(gamma, A.m)
-    if step is None:
-        step = 1.0 / A.n
-    fz = A.block_apply(gamma, z)
-    resid = fz - y.values[gamma] * phase(fz)
-    return z - step * A.block_adjoint(gamma, resid)
+    z = _checked_copy(z, y, A)
+    step = 1.0 / A.n if step is None else step
+    return _block_update(z, gamma, y.values, A, step)
 
 
 def _full_mask_block(A, gamma):
-    """Mask index l if gamma is exactly mask l's contiguous block, else None."""
+    """Mask index l if gamma, as a set, is exactly mask l's block, else None."""
     if getattr(A, "kind", None) != CDP or gamma.size != A.n:
         return None
-    l, off = divmod(int(gamma[0]), A.n)
-    if off != 0:
-        return None
-    if np.array_equal(np.sort(gamma), np.arange(l * A.n, (l + 1) * A.n)):
-        return l
-    return None
+    l = int(gamma.min()) // A.n
+    return l if np.array_equal(np.sort(gamma), np.arange(l * A.n, (l + 1) * A.n)) else None
 
 
 def block_kaczmarz_step(z, gamma, y, A):
@@ -219,19 +255,16 @@ def block_kaczmarz_step(z, gamma, y, A):
     gamma = _check_block(gamma, A.m)
     if gamma.size > A.n:
         raise ValueError("block larger than n cannot have independent rows")
+    z = _checked_copy(z, y, A)
 
     l = _full_mask_block(A, gamma)
     if l is not None:
         # the projection depends on the block as a set, so mask order serves
-        fz = A.mask_apply(l, z)
-        yg = y.values[l * A.n : (l + 1) * A.n]
-        resid = fz - yg * phase(fz)
-        return z - A.mask_adjoint(l, resid) / A.n
+        return _mask_projection(z, l, y.values, A)
 
     B = A.block_rows(gamma)  # rows a_i
     M = np.conj(B) if np.iscomplexobj(B) else B  # A_G, so that fz = M z
-    fz = M @ (z.astype(M.dtype, copy=False) if np.iscomplexobj(M) else z)
-    resid = fz - y.values[gamma] * phase(fz)
+    resid = _amplitude_residual(M @ z, y.values[gamma])
     G = M @ B.T  # A_G A_G^*; B @ B.T (one SYRK) for real rows
     potrf, pocon = get_lapack_funcs(("potrf", "pocon"), (G,))
     c, info = potrf(G)
@@ -240,7 +273,8 @@ def block_kaczmarz_step(z, gamma, y, A):
     # the negated test also rejects a NaN estimate
     if info != 0 or not rcond * BLOCK_CONDITION_LIMIT >= 1:
         raise np.linalg.LinAlgError("degenerate block")
-    return z - B.T @ cho_solve((c, False), resid, check_finite=False)
+    z -= B.T @ cho_solve((c, False), resid, check_finite=False)
+    return z
 
 
 def _resolve_batch_step(cfg, A, z0):
@@ -263,20 +297,27 @@ def run(y, A, z0, cfg, x_opt=None):
     (cfg.seed, 'solver') stream; reruns are bit-reproducible.
     """
     cfg.validate(A.m, A.n)
-    if y.m != A.m:
-        raise ValueError("measurement count does not match ensemble")
-    z = as_signal(z0).copy()
-    if z.size != A.n:
-        raise ValueError("start vector length does not match n")
-    if A.field == COMPLEX and not np.iscomplexobj(z):
-        z = z.astype(np.complex128)
+    z = _checked_copy(as_signal(z0), y, A)
     alg = cfg.algorithm
     m, n = A.m, A.n
     yv = y.values
     rng = substream(cfg.seed, "solver")
+    k = min(cfg.minibatch_k, m)
+    updates_per_pass = -(-m // k)  # ceil(m/k)
+    step = cfg.rho0 / n
+    if alg in ("rwf", "wf"):
+        mu = _resolve_batch_step(cfg, A, z)
+    elif alg in ("irwf", "kaczmarz_pr"):
+        # per-sample loop state as Python scalars, converted once per run
+        if alg == "kaczmarz_pr" and not A.row_sqnorms().all():
+            raise ValueError("zero sensing row %d" % np.flatnonzero(A.row_sqnorms() == 0)[0])
+        steps = (1.0 / A.row_sqnorms()).tolist() if alg == "kaczmarz_pr" else [step] * m
+        yl = yv.tolist()
+        row = A.rows.__getitem__ if isinstance(A, GaussianEnsemble) else A.row
 
     use_loss = x_opt is None
     loss_fn = intensity_loss if alg == "wf" else amplitude_loss
+    residual = _intensity_residual if alg == "wf" else _amplitude_residual
 
     def observe(zc):
         fz = A.apply(zc)
@@ -292,67 +333,25 @@ def run(y, A, z0, cfg, x_opt=None):
         return RunTrace(z, history, 0, "tol")
     guard = DIVERGENCE_FACTOR * gauge0
 
-    if alg in ("rwf", "wf"):
-        mu = _resolve_batch_step(cfg, A, z)
-    elif alg in ("irwf", "minibatch_irwf"):
-        step = cfg.rho0 / n
-    if alg in ("irwf", "kaczmarz_pr"):
-        # per-sample loop state as Python scalars, converted once per run
-        yl = yv.tolist()
-        steps = (1.0 / A.row_sqnorms()).tolist() if alg == "kaczmarz_pr" else [step] * m
-        row = A.rows.__getitem__ if isinstance(A, GaussianEnsemble) else A.row
-        vdot, dot = np.vdot, np.dot
-    k = min(cfg.minibatch_k, m)
-    updates_per_pass = -(-m // k)  # ceil(m/k)
-    cplx = A.field == COMPLEX
-
     stop_reason = "budget"
     passes_used = 0
     for p in range(1, cfg.max_passes + 1):
-        if alg == "rwf":
+        if alg in ("rwf", "wf"):
             if fz is None:
                 fz = A.apply(z)
-            z -= (mu / m) * A.adjoint_apply(fz - yv * phase(fz))
-        elif alg == "wf":
-            if fz is None:
-                fz = A.apply(z)
-            z -= (mu / m) * A.adjoint_apply((np.abs(fz) ** 2 - yv**2) * fz)
+            z -= (mu / m) * A.adjoint_apply(residual(fz, yv))
         elif alg in ("irwf", "kaczmarz_pr"):
-            idx = rng.integers(0, m, size=m).tolist()
-            if cplx:
-                for i in idx:
-                    a = row(i)
-                    # the same scalar arithmetic as irwf_step's _scalar_phase,
-                    # so single steps replay this loop bit-for-bit
-                    t = complex(vdot(a, z))
-                    r = abs(t)
-                    c = t - yl[i] * (t / r if r > 0 else 0.0)
-                    z -= (c * steps[i]) * a
-            else:
-                for i in idx:
-                    a = row(i)
-                    t = float(dot(a, z))
-                    # t - y sign(t), with sign(0) = 0
-                    c = t - yl[i] if t > 0 else (t + yl[i] if t < 0 else t)
-                    z -= (c * steps[i]) * a
+            _sample_updates(z, rng.integers(0, m, size=m).tolist(), yl, steps, row)
         elif alg == "minibatch_irwf":
             for _ in range(updates_per_pass):
-                gamma = rng.choice(m, size=k, replace=False)
-                fz = A.block_apply(gamma, z)
-                resid = fz - yv[gamma] * phase(fz)
-                z -= step * A.block_adjoint(gamma, resid)
+                _block_update(z, rng.choice(m, size=k, replace=False), yv, A, step)
+        elif getattr(A, "kind", None) == CDP and k == n:
+            # whole-mask blocks: the pseudoinverse reduces to 1/n scaling
+            for _ in range(updates_per_pass):
+                _mask_projection(z, int(rng.integers(0, A.L)), yv, A)
         else:  # block_kaczmarz_pr
-            if getattr(A, "kind", None) == CDP and k == n:
-                # whole-mask blocks: the pseudoinverse reduces to 1/n scaling
-                for _ in range(updates_per_pass):
-                    l = int(rng.integers(0, A.L))
-                    fz = A.mask_apply(l, z)
-                    resid = fz - yv[l * n : (l + 1) * n] * phase(fz)
-                    z -= A.mask_adjoint(l, resid) / n
-            else:
-                for _ in range(updates_per_pass):
-                    gamma = rng.choice(m, size=k, replace=False)
-                    z = block_kaczmarz_step(z, gamma, y, A)
+            for _ in range(updates_per_pass):
+                z = block_kaczmarz_step(z, rng.choice(m, size=k, replace=False), y, A)
         passes_used = p
         fz = None
 

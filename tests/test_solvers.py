@@ -19,6 +19,7 @@ from phasekit.core import (
     wf_loss,
 )
 from phasekit.sensing import (
+    CDP,
     Measurements,
     NoiseSpec,
     from_rows,
@@ -42,8 +43,9 @@ from phasekit.streams import substream
 
 
 def _instance(n, m, field, seed, noise=None):
-    A = make_gaussian(n, m, field, seed=seed)
-    x = random_signal(n, field, substream(seed, "x"))
+    # field CDP gives a coded-diffraction ensemble with m/n masks
+    A = make_cdp(n, m // n, seed=seed) if field == CDP else make_gaussian(n, m, field, seed=seed)
+    x = random_signal(n, A.field, substream(seed, "x"))
     return A, x, measure(A, x, noise)
 
 
@@ -85,6 +87,28 @@ def test_gradient_measurement_mismatch():
         rwf_gradient(np.ones(4), y, A)
     with pytest.raises(ValueError):
         wf_gradient(np.ones(4), y, A)
+
+
+@pytest.mark.parametrize("count", [2, 5])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda z, y, A: rwf_gradient(z, y, A),
+        lambda z, y, A: wf_gradient(z, y, A),
+        lambda z, y, A: irwf_step(z, 0, y, A),
+        lambda z, y, A: kaczmarz_step(z, 0, y, A),
+        lambda z, y, A: minibatch_irwf_step(z, [0, 1], y, A),
+        lambda z, y, A: block_kaczmarz_step(z, [0, 1], y, A),
+    ],
+    ids=["rwf_gradient", "wf_gradient", "irwf_step", "kaczmarz_step",
+         "minibatch_irwf_step", "block_kaczmarz_step"],
+)
+def test_step_functions_reject_measurement_count_mismatch(call, count):
+    # a y longer than m is refused, not read by its first m entries
+    A = from_rows([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    y = Measurements(np.ones(count))
+    with pytest.raises(ValueError, match="measurement count"):
+        call(np.array([0.5, 0.5]), y, A)
 
 
 def test_wf_gradient_finite_differences():
@@ -229,6 +253,16 @@ def test_kaczmarz_zero_row_rejected():
         kaczmarz_step(np.array([1.0, 1.0]), 0, y, A)
 
 
+def test_run_kaczmarz_zero_row_rejected():
+    # kaczmarz_step's error, raised before the first pass: a zero row has
+    # no projection, and its step 1/||a_i||^2 would turn the iterate to NaN
+    A = from_rows([[1.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
+    y = measure(A, np.array([1.0, 2.0]))
+    cfg = SolverConfig(algorithm="kaczmarz_pr", max_passes=3)
+    with pytest.raises(ValueError, match="zero sensing row 1"):
+        run(y, A, np.array([0.5, 0.5]), cfg)
+
+
 def test_minibatch_singleton_equals_single_sample():
     A, x, y = _instance(9, 27, REAL, seed=38)
     z = random_signal(9, REAL, substream(381))
@@ -337,6 +371,20 @@ def test_cdp_full_mask_fast_path_matches_dense_pseudoinverse():
     z_fast = block_kaczmarz_step(z, gamma, y, A)
     z_dense = block_kaczmarz_step(z, gamma, y, dense)
     assert np.linalg.norm(z_fast - z_dense) < 1e-10 * np.linalg.norm(z_fast)
+
+
+def test_cdp_shuffled_mask_block_takes_the_fft_path():
+    # the projection is a function of the block as a set: any order of a
+    # whole mask's indices gives the FFT result bit for bit
+    n, L = 16, 3
+    A = make_cdp(n, L, seed=49)
+    x = random_signal(n, COMPLEX, substream(491))
+    y = measure(A, x)
+    z = random_signal(n, COMPLEX, substream(492))
+    in_order = block_kaczmarz_step(z, np.arange(n, 2 * n), y, A)
+    for seed in range(3):
+        gamma = np.random.default_rng(seed).permutation(np.arange(n, 2 * n))
+        assert np.array_equal(block_kaczmarz_step(z, gamma, y, A), in_order)
 
 
 def test_cdp_full_mask_block_equals_minibatch_over_n():
@@ -514,11 +562,13 @@ def test_run_batch_pass_reuses_monitored_product(alg, field):
 # --- run loop vs public step functions (bitwise replay) ----------------------
 
 
-@pytest.mark.parametrize("field", [REAL, COMPLEX])
+@pytest.mark.parametrize("field", [REAL, COMPLEX, CDP])
 def test_run_irwf_replays_step_function(field):
+    # run() takes Gaussian rows through rows.__getitem__ and CDP rows
+    # through A.row; the step function always through A.row
     n, m = 12, 48
     A, x, y = _instance(n, m, field, seed=60)
-    z0 = random_signal(n, field, substream(601))
+    z0 = random_signal(n, A.field, substream(601))
     cfg = SolverConfig(algorithm="irwf", rho0=1.3, max_passes=1, tol=1e-16, seed=99)
     tr = run(y, A, z0, cfg, x_opt=x)
     rng = substream(99, "solver")
@@ -528,11 +578,11 @@ def test_run_irwf_replays_step_function(field):
     assert np.array_equal(tr.iterate, z)
 
 
-@pytest.mark.parametrize("field", [REAL, COMPLEX])
+@pytest.mark.parametrize("field", [REAL, COMPLEX, CDP])
 def test_run_kaczmarz_replays_step_function(field):
     n, m = 12, 48
     A, x, y = _instance(n, m, field, seed=61)
-    z0 = random_signal(n, field, substream(611))
+    z0 = random_signal(n, A.field, substream(611))
     cfg = SolverConfig(algorithm="kaczmarz_pr", max_passes=1, tol=1e-16, seed=41)
     tr = run(y, A, z0, cfg, x_opt=x)
     rng = substream(41, "solver")
@@ -542,10 +592,26 @@ def test_run_kaczmarz_replays_step_function(field):
     assert np.array_equal(tr.iterate, z)
 
 
-def test_run_minibatch_replays_step_function():
+def test_run_complex_start_on_real_rows_replays_step_function():
+    # the per-sample loop follows the iterate's field: a complex start on
+    # real rows must keep Im(a_i^T z), as irwf_step does
+    n, m = 12, 48
+    A, x, y = _instance(n, m, REAL, seed=66)
+    z0 = random_signal(n, COMPLEX, substream(661))
+    cfg = SolverConfig(algorithm="irwf", max_passes=1, tol=1e-16, seed=7)
+    tr = run(y, A, z0, cfg)
+    rng = substream(7, "solver")
+    z = z0.copy()
+    for i in rng.integers(0, m, size=m):
+        z = irwf_step(z, int(i), y, A, step=1.0 / n)
+    assert np.array_equal(tr.iterate, z)
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+def test_run_minibatch_replays_step_function(field):
     n, m, k = 10, 35, 4  # ceil(35/4) = 9 updates per pass
-    A, x, y = _instance(n, m, REAL, seed=62)
-    z0 = random_signal(n, REAL, substream(621))
+    A, x, y = _instance(n, m, field, seed=62)
+    z0 = random_signal(n, field, substream(621))
     cfg = SolverConfig(algorithm="minibatch_irwf", minibatch_k=k, rho0=0.7,
                        max_passes=1, tol=1e-16, seed=5)
     tr = run(y, A, z0, cfg, x_opt=x)
@@ -557,10 +623,11 @@ def test_run_minibatch_replays_step_function():
     assert np.array_equal(tr.iterate, z)
 
 
-def test_run_block_kaczmarz_replays_generic_step():
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+def test_run_block_kaczmarz_replays_generic_step(field):
     n, m, k = 10, 40, 3
-    A, x, y = _instance(n, m, REAL, seed=63)
-    z0 = random_signal(n, REAL, substream(631))
+    A, x, y = _instance(n, m, field, seed=63)
+    z0 = random_signal(n, field, substream(631))
     cfg = SolverConfig(algorithm="block_kaczmarz_pr", minibatch_k=k,
                        max_passes=1, tol=1e-16, seed=6)
     tr = run(y, A, z0, cfg, x_opt=x)
@@ -587,6 +654,22 @@ def test_run_block_kaczmarz_cdp_whole_mask_replay():
         l = int(rng.integers(0, L))
         z = block_kaczmarz_step(z, np.arange(l * n, (l + 1) * n), y, A)
     assert np.array_equal(tr.iterate, z)
+
+
+@pytest.mark.parametrize("alg, grad", [("rwf", rwf_gradient), ("wf", wf_gradient)])
+@pytest.mark.parametrize("field", [REAL, COMPLEX, CDP])
+def test_run_batch_pass_is_a_gradient_step(alg, grad, field):
+    # run() scales A^* r by mu/m, the gradient divides it by m: equal up to
+    # rounding, not bit for bit
+    n, m = 12, 48
+    A, x, y = _instance(n, m, field, seed=65)
+    z0 = random_signal(n, A.field, substream(651))
+    cfg = SolverConfig(algorithm=alg, mu=0.7, max_passes=1, tol=1e-300)
+    tr = run(y, A, z0, cfg, x_opt=x)
+    mu = 0.7 if alg == "rwf" else 0.7 / np.linalg.norm(z0) ** 2
+    want = z0 - mu * grad(z0, y, A)
+    assert tr.passes_used == 1
+    assert np.linalg.norm(tr.iterate - want) <= 1e-14 * np.linalg.norm(want)
 
 
 # --- contraction and basin behavior ------------------------------------------
