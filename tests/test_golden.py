@@ -4,7 +4,8 @@ Each experiment runs once at jobs=1 on the small configurations of
 acceptance criterion 10, and the SHA-256 of its csv_fingerprint (timestamp
 dropped, wall-clock columns masked) must equal the pinned digest.  A change
 that moves any output byte fails here and must re-pin the digest and
-declare the move.  Outputs are written under a temporary working directory
+declare the move.  Every solver has its own digest on each sensing model,
+so a change to one update path re-pins only that path's digests.  Outputs are written under a temporary working directory
 with relative paths, because the config echo in the metadata includes
 output_path.
 """
@@ -49,6 +50,33 @@ CONFIGS = {
     "loss_surface": dict(rho_grid=5, normz_grid=3),
 }
 
+# Each solver on each sensing model, through the recover experiment (its CSV
+# holds every pass's error and loss) at criterion 10's recover size.
+SOLVER_CASES = {
+    "%s/%s" % (model, alg): dict(
+        CONFIGS["recover"],
+        experiment="recover",
+        model=model,
+        masks=(5,),
+        algorithms=(alg,),
+        minibatch_k=4,
+    )
+    for model in ("real", "complex", "cdp")
+    for alg in ("wf", "irwf", "kaczmarz_pr", "minibatch_irwf", "block_kaczmarz_pr")
+}
+# whole coded-diffraction masks as blocks: the FFT projection
+SOLVER_CASES["cdp/block_kaczmarz_pr_whole_mask"] = dict(
+    SOLVER_CASES["cdp/block_kaczmarz_pr"], minibatch_k=10
+)
+BOUNDED_NOISE = dict(
+    CONFIGS["noise_sweep"],
+    experiment="noise_sweep",
+    algorithms=("rwf", "minibatch_irwf"),
+    minibatch_k=4,
+    noise_kind="bounded",
+    alphas=(0.01, 0.1),
+)
+
 IMAGE_DEMO = dict(
     experiment="image_demo",
     model="cdp",
@@ -68,7 +96,27 @@ GOLDEN = {
     "recover": "5b17b704f10db8e4103ca1554fa6eb02c6bedcca1de8860af818ef49495bfd93",
     "loss_surface": "de0ae8fed74871278a85edfc61836ca2720db69bce58e1f27d4bc3bab9c6eea1",
     "image_demo": "b8f2fc0351a6881b7aa94793060208af103fd7588d5832e6e604dd9f1d5ab60b",
+    "noise_sweep_bounded": "6d6f60e0ecbcf5780dc014de1f98d56163535ee401bc9ce76c06866c3e6ee549",
     "image_demo_all_zero": "64069a71444090d54f4914cdff72754f56ddea4bff6a50f5d15adaaf983039ea",
+}
+
+SOLVER_GOLDEN = {
+    "cdp/block_kaczmarz_pr": "5d4b3c6b1b5cd85e0b28fd7880b5d29b852d7c3ae6f472c7698b563bca944a31",
+    "cdp/block_kaczmarz_pr_whole_mask": "588914e152c3688330082b50727ed3c09dff9f22aac3ff78a3a55e5c814f3e1f",
+    "cdp/irwf": "774c7b5646956cde71a48a4a122f72a9f4dc276f3ed6746ca1ec2df07220bf92",
+    "cdp/kaczmarz_pr": "cad48d8c32d19709aa07b8c47f83f94366244f1d69d10edb8de4b1dfd261441d",
+    "cdp/minibatch_irwf": "bca9d8c287f7df785cad1605996aafa174cfa073cb5726163626a1b135a70449",
+    "cdp/wf": "2d535f96f49bf5f41ea16f366b9328759932ed4b65597aa179d118b136200f41",
+    "complex/block_kaczmarz_pr": "bc1307271ea3e2b1be3421efec178d927430f4ea4d5dbdae0408f374661d1eac",
+    "complex/irwf": "6fa8fa4248257a5e15419508b786a61ecc4e55a1a93622d635350bc16b6f1b9f",
+    "complex/kaczmarz_pr": "cbf5c9011e4e5708633fec3e7501b39bef1050031edaf14b2d11448e139bdc09",
+    "complex/minibatch_irwf": "da16f775df87980662f8c4b66999a1d94699a0dfb6918c4bf995e0002b65e3a5",
+    "complex/wf": "c195787316a5138197de70304afec9a503959405a196796580984dbffc6bceea",
+    "real/block_kaczmarz_pr": "7b8cb3067e3edc32abe5d10e2537afa2679661b1327ad19daa991ff70b6fc54e",
+    "real/irwf": "480d1be80b8157ebec56b419f4e0d5618b5750d600e1adf9453a3dbfecb5f2e6",
+    "real/kaczmarz_pr": "4a8a49bd050d15cdfb1ce94dea1baf53ce4826fbcf26ec4b52d2696d7d9a5c6a",
+    "real/minibatch_irwf": "958ac379d7c1b2b9e3076fa506e212308003c45b055ba6ef8b820cc5bba7d03e",
+    "real/wf": "3072de318aa46c90eaaa25fa93038fa8938e5cebbcfd56062922fd7bdf843bbb",
 }
 
 
@@ -96,6 +144,19 @@ def test_csv_experiment_fingerprint(name, tmp_path, monkeypatch):
     execute(cfg)
     ignore = ("mean_seconds",) if name == "convergence_race" else ()
     assert _digest(csv_fingerprint(path, ignore_columns=ignore)) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("case", sorted(SOLVER_CASES))
+def test_solver_fingerprint(case, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    execute(ExperimentConfig(output_path="trace.csv", **SOLVER_CASES[case]).validate())
+    assert _digest(csv_fingerprint("trace.csv")) == SOLVER_GOLDEN[case]
+
+
+def test_bounded_noise_fingerprint(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    execute(ExperimentConfig(output_path="noise.csv", **BOUNDED_NOISE).validate())
+    assert _digest(csv_fingerprint("noise.csv")) == GOLDEN["noise_sweep_bounded"]
 
 
 def test_image_demo_fingerprint(tmp_path, monkeypatch):
