@@ -19,12 +19,15 @@ uses.
 
 Each update formula lives in one private kernel that changes z in place:
 the public step functions apply it to a copy of z, run() to its iterate.
+A single-sample update is two BLAS level-1 calls from scipy: dot (dotc in
+the complex field) for a_i^* z, then axpy for z + (-c step) a_i, which
+rounds each entry once (a fused multiply-add).
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve, get_lapack_funcs
+from scipy.linalg import cho_solve, get_blas_funcs, get_lapack_funcs
 
 from .core import (
     COMPLEX,
@@ -53,6 +56,10 @@ WF_STEP = 0.2
 
 DIVERGENCE_FACTOR = 1e6
 BLOCK_CONDITION_LIMIT = 1e12
+
+# the per-sample kernel's BLAS: dotc conjugates its first argument
+_DDOT, _DAXPY = get_blas_funcs(("dot", "axpy"), dtype=np.float64)
+_ZDOTC, _ZAXPY = get_blas_funcs(("dotc", "axpy"), dtype=np.complex128)
 
 
 @dataclass
@@ -150,22 +157,25 @@ def _intensity_residual(fz, y):
 
 def _sample_updates(z, idx, y, steps, row):
     """z -= steps[i] (a_i^* z - y_i ph(a_i^* z)) a_i for each i of idx, in
-    order; row(i) is a_i.  run() passes y and steps as Python lists."""
-    vdot, dot = np.vdot, np.dot
+    order; row(i) is a_i.  Returns z, updated in place (axpy writes into a
+    contiguous float64/complex128 z).  run() passes y and steps as Python
+    lists.  A complex z takes the complex routines, which cast real rows."""
     if np.iscomplexobj(z):
+        dot, axpy = _ZDOTC, _ZAXPY
         for i in idx:
             a = row(i)
-            t = complex(vdot(a, z))
+            t = dot(a, z)
             r = abs(t)
             c = t - y[i] * (t / r if r > 0 else 0.0)
-            z -= (c * steps[i]) * a
+            z = axpy(a, z, a=-(c * steps[i]))
     else:
+        dot, axpy = _DDOT, _DAXPY
         for i in idx:
             a = row(i)
-            t = float(dot(a, z))
+            t = dot(a, z)
             # t - y sign(t), with sign(0) = 0
             c = t - y[i] if t > 0 else (t + y[i] if t < 0 else t)
-            z -= (c * steps[i]) * a
+            z = axpy(a, z, a=-(c * steps[i]))
     return z
 
 
@@ -341,7 +351,7 @@ def run(y, A, z0, cfg, x_opt=None):
                 fz = A.apply(z)
             z -= (mu / m) * A.adjoint_apply(residual(fz, yv))
         elif alg in ("irwf", "kaczmarz_pr"):
-            _sample_updates(z, rng.integers(0, m, size=m).tolist(), yl, steps, row)
+            z = _sample_updates(z, rng.integers(0, m, size=m).tolist(), yl, steps, row)
         elif alg == "minibatch_irwf":
             for _ in range(updates_per_pass):
                 _block_update(z, rng.choice(m, size=k, replace=False), yv, A, step)

@@ -93,7 +93,7 @@ GOLDEN = {
     "convergence_race": "be8856b16e4338523e94bb3f53eb1fe6333ea99a5c5c003e4c2591a97d43bfef",
     "init_accuracy": "72f5570b1613e960781445061d4dc4e9abec93630364bf0f3072ea3fcedb5e51",
     "noise_sweep": "f13918aaf8f885d39272e12030df944155c1b121ab1a81021b311dbc9d0f9da2",
-    "recover": "5b17b704f10db8e4103ca1554fa6eb02c6bedcca1de8860af818ef49495bfd93",
+    "recover": "ecc4485b284e0415153af2afd4abde949bf4811297ec69cfee761cea90b6fd64",
     "loss_surface": "de0ae8fed74871278a85edfc61836ca2720db69bce58e1f27d4bc3bab9c6eea1",
     "image_demo": "b8f2fc0351a6881b7aa94793060208af103fd7588d5832e6e604dd9f1d5ab60b",
     "noise_sweep_bounded": "6d6f60e0ecbcf5780dc014de1f98d56163535ee401bc9ce76c06866c3e6ee549",
@@ -113,8 +113,8 @@ SOLVER_GOLDEN = {
     "complex/minibatch_irwf": "da16f775df87980662f8c4b66999a1d94699a0dfb6918c4bf995e0002b65e3a5",
     "complex/wf": "c195787316a5138197de70304afec9a503959405a196796580984dbffc6bceea",
     "real/block_kaczmarz_pr": "7b8cb3067e3edc32abe5d10e2537afa2679661b1327ad19daa991ff70b6fc54e",
-    "real/irwf": "480d1be80b8157ebec56b419f4e0d5618b5750d600e1adf9453a3dbfecb5f2e6",
-    "real/kaczmarz_pr": "4a8a49bd050d15cdfb1ce94dea1baf53ce4826fbcf26ec4b52d2696d7d9a5c6a",
+    "real/irwf": "8d3b6106b03b0ae4757147db8f7e3c3ac196e500a7434d3277cb2fb48066c2a8",
+    "real/kaczmarz_pr": "71ab79c621fdc0264ca6eaae4f461e6965235cb6c8733a090fe90719bc8d4e64",
     "real/minibatch_irwf": "958ac379d7c1b2b9e3076fa506e212308003c45b055ba6ef8b820cc5bba7d03e",
     "real/wf": "3072de318aa46c90eaaa25fa93038fa8938e5cebbcfd56062922fd7bdf843bbb",
 }

@@ -656,6 +656,50 @@ def test_run_block_kaczmarz_cdp_whole_mask_replay():
     assert np.array_equal(tr.iterate, z)
 
 
+# --- per-sample kernel against a plain numpy reference ------------------------
+
+
+def _reference_sample_pass(z, idx, y, steps, rows):
+    # the per-sample recursion in plain numpy: t = a_i^* z by np.vdot, which
+    # conjugates a_i, then z - (c s_i) a_i
+    for i in idx:
+        t = np.vdot(rows[i], z)
+        c = t - y[i] * phase(t)
+        z = z - (c * steps[i]) * rows[i]
+    return z
+
+
+@pytest.mark.parametrize("alg", ["irwf", "kaczmarz_pr"])
+@pytest.mark.parametrize(
+    "field, start",
+    [(REAL, REAL), (COMPLEX, COMPLEX), (CDP, COMPLEX), (REAL, COMPLEX)],
+    ids=["real", "complex", "cdp", "complex-start-on-real-rows"],
+)
+def test_sample_updates_match_numpy_reference(alg, field, start):
+    # the step functions and run() share one BLAS kernel, so replaying one
+    # against the other cannot catch a wrong conjugation or axpy sign; the
+    # reference takes its rows from the dense oracle, not from A.row
+    n, m = 12, 48
+    A, x, y = _instance(n, m, field, seed=67)
+    rows = np.conj(A.materialize())
+    z0 = random_signal(n, start, substream(671))
+    if alg == "irwf":
+        steps = np.full(m, 1.3 / n)
+        step = lambda z, i: irwf_step(z, i, y, A, step=1.3 / n)  # noqa: E731
+    else:
+        steps = 1.0 / A.row_sqnorms()
+        step = lambda z, i: kaczmarz_step(z, i, y, A)  # noqa: E731
+    idx = substream(13, "solver").integers(0, m, size=m)
+    want = _reference_sample_pass(z0, idx, y.values, steps, rows)
+    z = z0
+    for i in idx:
+        z = step(z, int(i))
+    tr = run(y, A, z0, SolverConfig(algorithm=alg, rho0=1.3, max_passes=1, tol=1e-300, seed=13))
+    assert tr.passes_used == 1
+    for got in (z, tr.iterate):
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
 @pytest.mark.parametrize("alg, grad", [("rwf", rwf_gradient), ("wf", wf_gradient)])
 @pytest.mark.parametrize("field", [REAL, COMPLEX, CDP])
 def test_run_batch_pass_is_a_gradient_step(alg, grad, field):
