@@ -102,8 +102,8 @@ class Ensemble:
         self.m = int(m)
         self.seed = seed
 
-    # subclasses implement: apply, adjoint_apply, row, row_sqnorms,
-    # row_l1_sum, materialize
+    # subclasses implement: apply, adjoint_apply, row, block_rows,
+    # row_sqnorms, row_l1_sum, materialize
 
     def _check_signal(self, z):
         z = np.asarray(z)
@@ -122,8 +122,7 @@ class Ensemble:
 
     def block_rows(self, idx):
         """Rows a_i for i in idx, stacked (len(idx), n)."""
-        idx = np.asarray(idx, dtype=np.intp)
-        return np.stack([self.row(int(i)) for i in idx])
+        raise NotImplementedError
 
     def block_apply(self, idx, z):
         """(A z)_Gamma for an index block Gamma."""
@@ -217,6 +216,9 @@ class CDPEnsemble(Ensemble):
         self.L = L
         self.masks = masks
         self._masks_conj = np.conj(masks)
+        # conj(W_j) for W_j = exp(-2 pi i j/n): DFT row k is W_((k j) mod n),
+        # so no phase is evaluated at an argument beyond 2 pi
+        self._twiddle_conj = np.exp(2j * np.pi * np.arange(n) / n)
 
     def apply(self, z):
         z = self._check_signal(z).astype(np.complex128, copy=False)
@@ -238,8 +240,14 @@ class CDPEnsemble(Ensemble):
         if not 0 <= i < self.m:
             raise IndexError("row index %d out of range" % i)
         l, k = divmod(i, self.n)
-        fk = np.exp(-2j * np.pi * k * np.arange(self.n) / self.n)
-        return np.conj(self.masks[l] * fk)
+        return self._masks_conj[l] * self._twiddle_conj[k * np.arange(self.n) % self.n]
+
+    def block_rows(self, idx):
+        idx = np.asarray(idx, dtype=np.intp)
+        if idx.size and (idx.min() < 0 or idx.max() >= self.m):
+            raise IndexError("row index out of range")
+        l, k = np.divmod(idx, self.n)
+        return self._masks_conj[l] * self._twiddle_conj[np.outer(k, np.arange(self.n)) % self.n]
 
     def row_sqnorms(self):
         # unit-modulus mask times unit-modulus DFT entries: exactly n

@@ -101,11 +101,11 @@ GOLDEN = {
 }
 
 SOLVER_GOLDEN = {
-    "cdp/block_kaczmarz_pr": "5d4b3c6b1b5cd85e0b28fd7880b5d29b852d7c3ae6f472c7698b563bca944a31",
+    "cdp/block_kaczmarz_pr": "23702994fb69b3aa03660e3112cc7ba52df1da87d2c900e3aa184db6a7a3c22a",
     "cdp/block_kaczmarz_pr_whole_mask": "588914e152c3688330082b50727ed3c09dff9f22aac3ff78a3a55e5c814f3e1f",
-    "cdp/irwf": "774c7b5646956cde71a48a4a122f72a9f4dc276f3ed6746ca1ec2df07220bf92",
-    "cdp/kaczmarz_pr": "cad48d8c32d19709aa07b8c47f83f94366244f1d69d10edb8de4b1dfd261441d",
-    "cdp/minibatch_irwf": "bca9d8c287f7df785cad1605996aafa174cfa073cb5726163626a1b135a70449",
+    "cdp/irwf": "b6f0e21d2932ca680edd13caf4c93d15097020ca0e0738f8157943343fe7f075",
+    "cdp/kaczmarz_pr": "bf5f7741446577c3a5482b43c27c32842a34e44412d75f3b2e89091942cd3bf1",
+    "cdp/minibatch_irwf": "d2e4bc1d339614bd0f584a9f21de19d3bff45cbf98647e0ca05cc206d97fe0e5",
     "cdp/wf": "2d535f96f49bf5f41ea16f366b9328759932ed4b65597aa179d118b136200f41",
     "complex/block_kaczmarz_pr": "bc1307271ea3e2b1be3421efec178d927430f4ea4d5dbdae0408f374661d1eac",
     "complex/irwf": "6fa8fa4248257a5e15419508b786a61ecc4e55a1a93622d635350bc16b6f1b9f",

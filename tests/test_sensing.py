@@ -153,6 +153,28 @@ def test_block_paths_match_dense(rng):
         assert _rel(A.block_adjoint(idx, u), np.conj(M[idx]).T @ u) < 1e-10
 
 
+def test_cdp_rows_match_fft_apply_at_large_n():
+    # a_i^* z from the synthesized row against the FFT that produces y: the
+    # rows index one twiddle table, so the phase error does not grow with n
+    # (exp(-2 pi i k j/n) evaluated at k j up to n^2 was off by up to 3e-12)
+    n = 4096
+    A = make_cdp(n, 2, seed=5)
+    gen = np.random.default_rng(5)
+    z = gen.standard_normal(n) + 1j * gen.standard_normal(n)
+    fz = A.apply(z)
+    for i in gen.choice(A.m, size=64, replace=False):
+        assert abs(np.vdot(A.row(int(i)), z) - fz[i]) <= 1e-13 * abs(fz[i])
+
+
+def test_cdp_block_rows_stack_rows():
+    A = make_cdp(12, 3, seed=4)
+    idx = [35, 0, 13, 12, 11]
+    assert np.array_equal(A.block_rows(idx), np.stack([A.row(i) for i in idx]))
+    for bad in ([0, 36], [-1]):
+        with pytest.raises(IndexError):
+            A.block_rows(bad)
+
+
 def test_dimension_mismatch_errors():
     A = make_gaussian(5, 9, REAL, seed=2)
     with pytest.raises(ValueError):
