@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Time one monitored pass of each solver and record it in a BENCH json.
 
-    python3 scripts/bench.py --label after --out BENCH_5.json [--reps 15]
+    python3 scripts/bench.py --label after --out BENCH_6.json [--reps 15]
 
 Run from any directory: the script imports phasekit from the src/ next to
 it, so a copy placed in another checkout times that checkout's code.  Each
@@ -10,7 +10,9 @@ of a `run` with max_passes = PASSES divided by PASSES, so the start's
 monitoring product is spread over the passes.  Every algorithm runs on a
 real and a complex Gaussian instance (n=1000, m=8n, k=64), and block
 Kaczmarz also on a coded-diffraction instance (n=1000, 8 masks) with k=n,
-where each block is a whole mask.  Each row keeps the median and min over
+where each block is a whole mask.  rwf, irwf and kaczmarz_pr also run at
+the phase-transition size (real, n=256, m=2n), where a pass is short
+enough for per-call overhead to show.  Each row keeps the median and min over
 --reps repeats.  BLAS threads default to 1 (an environment setting wins
 and is recorded), so the rows measure the code, not the thread pool.  The run is stored under
 --label in --out, next to the runs already there.
@@ -39,6 +41,13 @@ from phasekit.streams import substream  # noqa: E402
 
 N, RATIO, PASSES, K = 1000, 8, 3, 64
 ALGORITHMS = ("rwf", "wf", "irwf", "kaczmarz_pr", "minibatch_irwf", "block_kaczmarz_pr")
+# (model, n, m/n, algorithms, k)
+INSTANCES = (
+    ("real", N, RATIO, ALGORITHMS, K),
+    ("complex", N, RATIO, ALGORITHMS, K),
+    ("cdp", N, RATIO, ("block_kaczmarz_pr",), N),
+    ("real", 256, 2, ("rwf", "irwf", "kaczmarz_pr"), K),
+)
 
 
 def _blas(module):
@@ -84,19 +93,19 @@ def main():
         ap.error("--reps must be at least 5")
 
     rows = []
-    for model, algs, k in (("real", ALGORITHMS, K), ("complex", ALGORITHMS, K),
-                           ("cdp", ("block_kaczmarz_pr",), N)):
+    for model, n, ratio, algs, k in INSTANCES:
         if model == "cdp":
-            A = make_cdp(N, RATIO, seed=11)
+            A = make_cdp(n, ratio, seed=11)
         else:
-            A = make_gaussian(N, RATIO * N, REAL if model == "real" else COMPLEX, seed=11)
-        y = measure(A, random_signal(N, A.field, substream(11, "x")))
-        z0 = random_signal(N, A.field, substream(11, "z0"))
+            A = make_gaussian(n, ratio * n, REAL if model == "real" else COMPLEX, seed=11)
+        y = measure(A, random_signal(n, A.field, substream(11, "x")))
+        z0 = random_signal(n, A.field, substream(11, "z0"))
         for alg in algs:
             med, low = time_pass(y, A, z0, alg, k, args.reps)
-            rows.append({"layer": "solvers.%s.pass" % alg, "model": model, "n": N, "m": A.m,
+            rows.append({"layer": "solvers.%s.pass" % alg, "model": model, "n": n, "m": A.m,
                          "k": k, "reps": args.reps, "median_s": med, "min_s": low})
-            print("%-28s %-8s median %.4f s  min %.4f s" % (rows[-1]["layer"], model, med, low))
+            print("%-28s %-8s n=%-5d median %8.3f ms  min %8.3f ms"
+                  % (rows[-1]["layer"], model, n, 1e3 * med, 1e3 * low))
 
     path = Path(args.out)
     doc = json.loads(path.read_text()) if path.exists() else {}
