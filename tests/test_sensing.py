@@ -16,6 +16,7 @@ from phasekit.sensing import (
     make_gaussian,
     measure,
 )
+from phasekit.streams import substream
 
 
 def _rel(a, b):
@@ -41,6 +42,27 @@ def test_gaussian_real_entry_statistics():
 def test_gaussian_complex_entry_statistics():
     A = make_gaussian(100, 5000, COMPLEX, seed=1)
     assert 0.97 <= np.mean(np.abs(A.rows) ** 2) <= 1.03
+
+
+@pytest.mark.parametrize("n, m", [(7, 600), (3, 256), (5, 257), (4, 1)])
+def test_complex_gaussian_bytes_match_one_shot_draws(n, m):
+    # the rows are the one-shot (re + 1j*im)/sqrt(2) from the ensemble
+    # stream, bit for bit, at sizes that cross and straddle a draw block
+    rng = substream(8, "ensemble")
+    re = rng.standard_normal((m, n))
+    im = rng.standard_normal((m, n))
+    ref = (re + 1j * im) / np.sqrt(2.0)
+    assert make_gaussian(n, m, COMPLEX, seed=8).rows.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize(
+    "shape", [(3, 5), (256, 256), (257, 255), (1000, 131), (2051, 203), (65537, 1)]
+)
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+def test_row_l1_sum_is_the_exact_abs_sum(shape, field):
+    # below, at and well above 65536 elements, and sizes off a multiple of 8
+    A = make_gaussian(shape[1], shape[0], field, seed=4)
+    assert A.row_l1_sum() == float(np.abs(A.rows).sum())
 
 
 def test_gaussian_rejects_zero_dimensions():
