@@ -29,6 +29,12 @@ GAUSSIAN_REAL = "gaussian_real"
 GAUSSIAN_COMPLEX = "gaussian_complex"
 CDP = "cdp"
 
+# Rows per block wherever a pass over a Gaussian ensemble's rows makes a
+# temporary: the complex draws and the row norms.
+BLOCK_ROWS = 256
+# Largest run of elements the l1 sum takes np.abs of at once.
+L1_LEAF = 65536
+
 
 @dataclass(frozen=True)
 class Measurements:
@@ -186,14 +192,14 @@ class GaussianEnsemble(Ensemble):
             # a block of rows at a time, so the conjugated copy stays small;
             # each row's sum is the same as over the whole matrix
             sq = np.empty(self.m)
-            for s in range(0, self.m, 256):
-                b = self.rows[s : s + 256]
-                sq[s : s + 256] = np.einsum("ij,ij->i", b, np.conj(b)).real
+            for s in range(0, self.m, BLOCK_ROWS):
+                b = self.rows[s : s + BLOCK_ROWS]
+                sq[s : s + BLOCK_ROWS] = np.einsum("ij,ij->i", b, np.conj(b)).real
             self._sqnorms = sq
         return self._sqnorms
 
     def row_l1_sum(self):
-        return float(np.abs(self.rows).sum())
+        return _abs_sum(self.rows.reshape(-1))
 
     def materialize(self):
         """Dense M with apply(z) == M @ z (test oracle)."""
@@ -268,6 +274,20 @@ class CDPEnsemble(Ensemble):
         return {"kind": self.kind, "n": self.n, "L": self.L, "seed": self.seed}
 
 
+def _abs_sum(flat):
+    """float(np.abs(flat).sum()) bit for bit, without the full |flat| copy.
+
+    numpy sums a contiguous run pairwise, halving it at a multiple of 8, so
+    splitting the same way down to leaves of at most L1_LEAF elements and
+    adding the leaf sums in the same tree gives the same bits.
+    """
+    if flat.size <= L1_LEAF:
+        return float(np.abs(flat).sum())
+    half = flat.size // 2
+    half -= half % 8
+    return _abs_sum(flat[:half]) + _abs_sum(flat[half:])
+
+
 def make_gaussian(n, m, field, seed):
     """Seeded dense Gaussian ensemble, real or complex."""
     if n < 1 or m < 1:
@@ -276,12 +296,16 @@ def make_gaussian(n, m, field, seed):
     if field == REAL:
         rows = rng.standard_normal((m, n))
     elif field == COMPLEX:
-        # filled in place from the same draws as (re + 1j*im)/sqrt(2), without
-        # the complex temporaries
+        # the bits of (re + 1j*im)/sqrt(2) with re, then im, drawn whole from
+        # the stream: numpy divides a complex by sqrt(2) as a multiply by
+        # 1/sqrt(2), so each part is scaled that way, a block of rows at a
+        # time, and no full-size temporary is made
         rows = np.empty((m, n), dtype=np.complex128)
-        rows.real = rng.standard_normal((m, n))
-        rows.imag = rng.standard_normal((m, n))
-        rows /= np.sqrt(2.0)
+        scale = 1.0 / np.sqrt(2.0)
+        for part in (rows.real, rows.imag):
+            for s in range(0, m, BLOCK_ROWS):
+                block = part[s : s + BLOCK_ROWS]
+                np.multiply(rng.standard_normal(block.shape), scale, out=block)
     else:
         raise ValueError("unknown field %r" % (field,))
     return GaussianEnsemble(rows, seed)

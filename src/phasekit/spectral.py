@@ -16,7 +16,10 @@ and scale it to length lambda0.  Two preprocessings choose the weights:
   coded-diffraction data, where it is supported by measurement only.
   T is negative for small y, so the top algebraic eigenvector comes from
   Lanczos (scipy's eigsh on a LinearOperator) rather than power iteration.
-  It needs m > n, where the denominator stays positive.
+  Complex and coded-diffraction Y run in eigsh's real symmetric mode,
+  through the real 2n x 2n embedding of Y that the float64 view of a
+  complex vector gives.  It needs m > n, where the denominator stays
+  positive.
 * "truncated": the paper's T_i = y_i * 1{lo < y_i < hi}, with the window
   [lo, hi] = [trunc_lower, trunc_upper] * lambda0 discarding samples whose
   magnitude is out of scale with the norm estimate; power iteration.
@@ -172,24 +175,36 @@ def _power_iteration(A, w, v, params):
 
 
 def _top_eigenpair(A, w, v0):
-    """(unit top algebraic eigenvector, eigenvalue, products used) of Y."""
-    if A.n < 3:
-        # ARPACK needs k + 1 < n for complex operators (k < n for real
-        # ones): form the n x n matrix column by column instead.
-        basis = np.eye(A.n, dtype=v0.dtype)
+    """(unit top algebraic eigenvector, eigenvalue, products used) of Y.
+
+    Lanczos runs in eigsh's real symmetric mode on the float64 view of the
+    iterate: for complex Y that view interleaves (Re u_j, Im u_j), and the
+    operator it sees is Y's real 2n x 2n embedding, symmetric because Y is
+    Hermitian.  The embedding has Y's eigenvalues, each twice (v and i v
+    embed as two orthogonal vectors), and Lanczos from the view of v0
+    builds the same Ritz values as on Y itself, in exact arithmetic.  For
+    real Y the view is Y itself.  ARPACK's complex mode is avoided because
+    with threaded BLAS it about doubles the cost of every product.
+    """
+    n = A.n
+    if n < 3:
+        # tiny n: form the n x n matrix from n products and solve it densely
+        # (ARPACK needs k < n)
+        basis = np.eye(n, dtype=v0.dtype)
         Y = np.column_stack([weighted_covariance_apply(A, w, e) for e in basis])
         vals, vecs = np.linalg.eigh(Y)
-        return vecs[:, -1], float(vals[-1]), A.n
+        return vecs[:, -1], float(vals[-1]), n
     products = 0
 
-    def matvec(v):
+    def matvec(u):
         nonlocal products
         products += 1
-        return weighted_covariance_apply(A, w, v.reshape(A.n))
+        return weighted_covariance_apply(A, w, u.reshape(-1).view(v0.dtype)).view(np.float64)
 
-    op = LinearOperator((A.n, A.n), matvec=matvec, dtype=v0.dtype)
-    vals, vecs = eigsh(op, k=1, which="LA", v0=v0, tol=LANCZOS_TOL)
-    v = vecs[:, 0]
+    start = v0.view(np.float64)
+    op = LinearOperator((start.size,) * 2, matvec=matvec, dtype=np.float64)
+    vals, vecs = eigsh(op, k=1, which="LA", v0=start, tol=LANCZOS_TOL)
+    v = vecs[:, 0].copy().view(v0.dtype)
     return v / np.linalg.norm(v), float(vals[0]), products
 
 

@@ -95,23 +95,23 @@ GOLDEN = {
     "noise_sweep": "f13918aaf8f885d39272e12030df944155c1b121ab1a81021b311dbc9d0f9da2",
     "recover": "ecc4485b284e0415153af2afd4abde949bf4811297ec69cfee761cea90b6fd64",
     "loss_surface": "de0ae8fed74871278a85edfc61836ca2720db69bce58e1f27d4bc3bab9c6eea1",
-    "image_demo": "b8f2fc0351a6881b7aa94793060208af103fd7588d5832e6e604dd9f1d5ab60b",
+    "image_demo": "1710ae5b26a29405fdd97347effd0d01b1a9dc5e027f0130b8311831370cbe1e",
     "noise_sweep_bounded": "6d6f60e0ecbcf5780dc014de1f98d56163535ee401bc9ce76c06866c3e6ee549",
     "image_demo_all_zero": "64069a71444090d54f4914cdff72754f56ddea4bff6a50f5d15adaaf983039ea",
 }
 
 SOLVER_GOLDEN = {
-    "cdp/block_kaczmarz_pr": "23702994fb69b3aa03660e3112cc7ba52df1da87d2c900e3aa184db6a7a3c22a",
-    "cdp/block_kaczmarz_pr_whole_mask": "588914e152c3688330082b50727ed3c09dff9f22aac3ff78a3a55e5c814f3e1f",
-    "cdp/irwf": "b6f0e21d2932ca680edd13caf4c93d15097020ca0e0738f8157943343fe7f075",
-    "cdp/kaczmarz_pr": "bf5f7741446577c3a5482b43c27c32842a34e44412d75f3b2e89091942cd3bf1",
-    "cdp/minibatch_irwf": "d2e4bc1d339614bd0f584a9f21de19d3bff45cbf98647e0ca05cc206d97fe0e5",
-    "cdp/wf": "2d535f96f49bf5f41ea16f366b9328759932ed4b65597aa179d118b136200f41",
-    "complex/block_kaczmarz_pr": "bc1307271ea3e2b1be3421efec178d927430f4ea4d5dbdae0408f374661d1eac",
-    "complex/irwf": "6fa8fa4248257a5e15419508b786a61ecc4e55a1a93622d635350bc16b6f1b9f",
-    "complex/kaczmarz_pr": "cbf5c9011e4e5708633fec3e7501b39bef1050031edaf14b2d11448e139bdc09",
-    "complex/minibatch_irwf": "da16f775df87980662f8c4b66999a1d94699a0dfb6918c4bf995e0002b65e3a5",
-    "complex/wf": "c195787316a5138197de70304afec9a503959405a196796580984dbffc6bceea",
+    "cdp/block_kaczmarz_pr": "fa9172dac07e1890fa1daec1e7f318f054cdd4f9bd5bc119729dd289998ab2d4",
+    "cdp/block_kaczmarz_pr_whole_mask": "9b3d0abe79576388a4880f0d35a966af03f5796eeba101fb97927b39de61094f",
+    "cdp/irwf": "ef34b5561d8da05e6a56fbaea9dfa12d05232da1f00b12df9bcd7bf2b6a070a0",
+    "cdp/kaczmarz_pr": "788ae55bc35f78cb9de778434249af158d2434ac77a1f1eb5f559339df245b91",
+    "cdp/minibatch_irwf": "6897ba0f21c16960e4b224a62ec6cebbe35b479bb268bf3ff663ea5f88a2bb5a",
+    "cdp/wf": "65ddd2d8b9bfd244b19df1fb5239a6cac5dc028db31fd7cd0ee39559881a4606",
+    "complex/block_kaczmarz_pr": "bce09f1d26f5471169b8d7381ec0a2f63efa969fdb33e871af4ac71e6b02b923",
+    "complex/irwf": "0443aa6c41c167d1ef6469527e3692cea005bbc10ab9edd064134ba586a19ae0",
+    "complex/kaczmarz_pr": "64bb41e6f714206362bcc5a810a758ed719e06b2a790b654ba0dc1a1222aaed3",
+    "complex/minibatch_irwf": "b664093b464013ce42974be08f265ca6a39f76ce4e994d9d0f405c99ec486687",
+    "complex/wf": "2c0f1741ff7c347bc92004cb4133443f8ea88ee3f09eb0a8c811c12169911908",
     "real/block_kaczmarz_pr": "7b8cb3067e3edc32abe5d10e2537afa2679661b1327ad19daa991ff70b6fc54e",
     "real/irwf": "8d3b6106b03b0ae4757147db8f7e3c3ac196e500a7434d3277cb2fb48066c2a8",
     "real/kaczmarz_pr": "71ab79c621fdc0264ca6eaae4f461e6965235cb6c8733a090fe90719bc8d4e64",

@@ -1,5 +1,7 @@
 """Ensembles: construction statistics, matrix-free products, measurement."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,8 @@ from hypothesis import strategies as st
 
 from phasekit.core import COMPLEX, REAL
 from phasekit.sensing import (
+    BLOCK_ROWS,
+    L1_LEAF,
     CDPEnsemble,
     Measurements,
     NoiseSpec,
@@ -63,6 +67,32 @@ def test_row_l1_sum_is_the_exact_abs_sum(shape, field):
     # below, at and well above 65536 elements, and sizes off a multiple of 8
     A = make_gaussian(shape[1], shape[0], field, seed=4)
     assert A.row_l1_sum() == float(np.abs(A.rows).sum())
+
+
+def _peak_bytes(fn):
+    """(fn(), peak bytes traced while it ran); numpy reports its buffers."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# interpreter objects around the arrays (the generator, views, frames)
+SMALL = 16 * 1024
+
+
+def test_complex_build_peaks_at_rows_plus_one_block():
+    n = 64
+    A, peak = _peak_bytes(lambda: make_gaussian(n, 40 * BLOCK_ROWS + 3, COMPLEX, seed=2))
+    assert peak <= A.rows.nbytes + BLOCK_ROWS * n * 8 + SMALL
+
+
+def test_row_l1_sum_adds_at_most_one_leaf():
+    A = make_gaussian(64, 16 * L1_LEAF // 64 + 5, COMPLEX, seed=2)
+    _, peak = _peak_bytes(A.row_l1_sum)
+    assert peak <= L1_LEAF * 8 + SMALL
 
 
 def test_gaussian_rejects_zero_dimensions():

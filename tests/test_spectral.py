@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from phasekit import spectral
 from phasekit.core import COMPLEX, REAL, dist_up_to_phase, random_signal, relative_error
 from phasekit.sensing import Measurements, from_rows, make_cdp, make_gaussian, measure
 from phasekit.spectral import (
@@ -229,6 +230,26 @@ def test_optimal_lanczos_matches_dense_eigenvector():
         assert dist_up_to_phase(init.z0 / init.lambda0, v) < 1e-8
         assert init.rayleigh == pytest.approx((top,), rel=1e-9)
         assert init.kept_fraction == 1.0 and not init.small_truncation_set
+
+
+@pytest.mark.parametrize(
+    "A",
+    [make_gaussian(32, 8 * 32, COMPLEX, seed=94), make_cdp(32, 8, seed=94)],
+    ids=["complex", "cdp"],
+)
+def test_complex_lanczos_runs_on_a_real_operator(A, monkeypatch):
+    # complex Y goes through eigsh's real symmetric mode on R^(2n)
+    seen = []
+    real_eigsh = spectral.eigsh
+
+    def eigsh(op, **kw):
+        seen.append((op.dtype, op.shape))
+        return real_eigsh(op, **kw)
+
+    monkeypatch.setattr(spectral, "eigsh", eigsh)
+    init = spectral_initialize(measure(A, random_signal(32, COMPLEX, substream(94))), A)
+    assert seen == [(np.dtype(np.float64), (64, 64))]
+    assert np.iscomplexobj(init.z0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
