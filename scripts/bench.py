@@ -1,21 +1,30 @@
 #!/usr/bin/env python3
-"""Time one monitored pass of each solver and record it in a BENCH json.
+"""Time each solver pass, ensemble build and spectral init into a BENCH json.
 
-    python3 scripts/bench.py --label after --out BENCH_6.json [--reps 15]
+    python3 scripts/bench.py --label after --out BENCH_7.json [--reps 15]
 
 Run from any directory: the script imports phasekit from the src/ next to
-it, so a copy placed in another checkout times that checkout's code.  Each
-row is one solver pass on a seeded instance, recording every pass: seconds
-of a `run` with max_passes = PASSES divided by PASSES, so the start's
-monitoring product is spread over the passes.  Every algorithm runs on a
-real and a complex Gaussian instance (n=1000, m=8n, k=64), and block
-Kaczmarz also on a coded-diffraction instance (n=1000, 8 masks) with k=n,
-where each block is a whole mask.  rwf, irwf and kaczmarz_pr also run at
-the phase-transition size (real, n=256, m=2n), where a pass is short
-enough for per-call overhead to show.  Each row keeps the median and min over
---reps repeats.  BLAS threads default to 1 (an environment setting wins
-and is recorded), so the rows measure the code, not the thread pool.  The run is stored under
---label in --out, next to the runs already there.
+it, so a copy placed in another checkout times that checkout's code.
+
+Pass rows: one solver pass on a seeded instance, recording every pass:
+seconds of a `run` with max_passes = PASSES divided by PASSES, so the
+start's monitoring product is spread over the passes.  Every algorithm
+runs on a real and a complex Gaussian instance (n=1000, m=8n, k=64), and
+block Kaczmarz also on a coded-diffraction instance (n=1000, 8 masks) with
+k=n, where each block is a whole mask.  rwf, irwf and kaczmarz_pr also run
+at the phase-transition size (real, n=256, m=2n), where a pass is short
+enough for per-call overhead to show.
+
+Setup rows: building a real and a complex Gaussian instance (n=1000,
+m=8n) and a coded-diffraction one (n=128^2, 12 masks) (sensing.build), and
+its default spectral init (spectral.init), each with the MB allocated at
+peak during one more, untimed call (tracemalloc, which sees numpy's
+buffers).
+
+Each row keeps the median and min over --reps repeats.  BLAS threads
+default to 1 (an environment setting wins and is recorded), so the rows
+measure the code, not the thread pool.  The run is stored under --label
+in --out, next to the runs already there.
 """
 
 import argparse
@@ -25,6 +34,7 @@ import platform
 import statistics
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -37,6 +47,7 @@ import scipy  # noqa: E402
 from phasekit.core import COMPLEX, REAL, random_signal  # noqa: E402
 from phasekit.sensing import make_cdp, make_gaussian, measure  # noqa: E402
 from phasekit.solvers import SolverConfig, run  # noqa: E402
+from phasekit.spectral import spectral_initialize  # noqa: E402
 from phasekit.streams import substream  # noqa: E402
 
 N, RATIO, PASSES, K = 1000, 8, 3, 64
@@ -48,6 +59,9 @@ INSTANCES = (
     ("cdp", N, RATIO, ("block_kaczmarz_pr",), N),
     ("real", 256, 2, ("rwf", "irwf", "kaczmarz_pr"), K),
 )
+# (model, n, m/n) for the build and init rows; the coded-diffraction one is
+# the image demo's size (128 x 128, 12 masks)
+SETUP_INSTANCES = (("real", N, RATIO), ("complex", N, RATIO), ("cdp", 128 * 128, 12))
 
 
 def _blas(module):
@@ -71,16 +85,61 @@ def machine():
     }
 
 
-def time_pass(y, A, z0, alg, k, reps):
-    cfg = SolverConfig(algorithm=alg, max_passes=PASSES, tol=1e-300, minibatch_k=k, seed=3)
+def median_min(fn, reps):
+    """Median and min seconds of reps calls of fn."""
     secs = []
     for _ in range(reps):
         t0 = time.perf_counter()
+        fn()
+        secs.append(time.perf_counter() - t0)
+    return statistics.median(secs), min(secs)
+
+
+def peak_mb(fn):
+    """MB allocated at peak during one call of fn, beyond what was held."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def time_pass(y, A, z0, alg, k, reps):
+    cfg = SolverConfig(algorithm=alg, max_passes=PASSES, tol=1e-300, minibatch_k=k, seed=3)
+
+    def one():
         tr = run(y, A, z0, cfg)
-        secs.append((time.perf_counter() - t0) / PASSES)
         if tr.passes_used != PASSES:
             raise RuntimeError("%s stopped after %d passes" % (alg, tr.passes_used))
-    return statistics.median(secs), min(secs)
+
+    med, low = median_min(one, reps)
+    return med / PASSES, low / PASSES
+
+
+def build(model, n, ratio):
+    if model == "cdp":
+        return make_cdp(n, ratio, seed=11)
+    return make_gaussian(n, ratio * n, REAL if model == "real" else COMPLEX, seed=11)
+
+
+def setup_rows(reps):
+    """sensing.build and spectral.init rows for each of SETUP_INSTANCES."""
+    rows = []
+    for model, n, ratio in SETUP_INSTANCES:
+        A = build(model, n, ratio)
+        y = measure(A, random_signal(n, A.field, substream(11, "x")))
+        for layer, fn in (
+            ("sensing.build", lambda: build(model, n, ratio)),
+            ("spectral.init", lambda: spectral_initialize(y, A, seed=3)),
+        ):
+            med, low = median_min(fn, reps)
+            rows.append({"layer": layer, "model": model, "n": n, "m": A.m, "reps": reps,
+                         "median_s": med, "min_s": low, "peak_mb": peak_mb(fn)})
+            print("%-28s %-8s n=%-5d median %8.3f ms  min %8.3f ms  peak %7.1f MB"
+                  % (layer, model, n, 1e3 * med, 1e3 * low, rows[-1]["peak_mb"]))
+        del A, y  # the next instance is built without this one held
+    return rows
 
 
 def main():
@@ -92,12 +151,9 @@ def main():
     if args.reps < 5:
         ap.error("--reps must be at least 5")
 
-    rows = []
+    rows = setup_rows(args.reps)
     for model, n, ratio, algs, k in INSTANCES:
-        if model == "cdp":
-            A = make_cdp(n, ratio, seed=11)
-        else:
-            A = make_gaussian(n, ratio * n, REAL if model == "real" else COMPLEX, seed=11)
+        A = build(model, n, ratio)
         y = measure(A, random_signal(n, A.field, substream(11, "x")))
         z0 = random_signal(n, A.field, substream(11, "z0"))
         for alg in algs:
@@ -111,7 +167,8 @@ def main():
     doc = json.loads(path.read_text()) if path.exists() else {}
     doc.setdefault("runs", {})[args.label] = {
         "machine": machine(),
-        "what": "seconds per pass of a %d-pass run recording every pass" % PASSES,
+        "what": "pass rows: seconds per pass of a %d-pass run recording every pass; "
+                "setup rows: seconds per call, and MB allocated at peak (tracemalloc)" % PASSES,
         "rows": rows,
     }
     path.write_text(json.dumps(doc, indent=1) + "\n")
