@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Time each solver pass, ensemble build and spectral init into a BENCH json.
+"""Time imports, solver passes, monitoring, builds and inits into a BENCH json.
 
-    python3 scripts/bench.py --label after --out BENCH_7.json [--reps 15]
+    python3 scripts/bench.py --label after --out BENCH_8.json [--reps 15]
 
 Run from any directory: the script imports phasekit from the src/ next to
 it, so a copy placed in another checkout times that checkout's code.
@@ -14,6 +14,14 @@ block Kaczmarz also on a coded-diffraction instance (n=1000, 8 masks) with
 k=n, where each block is a whole mask.  rwf, irwf and kaczmarz_pr also run
 at the phase-transition size (real, n=256, m=2n), where a pass is short
 enough for per-call overhead to show.
+
+Observe rows (solvers.observe): a rwf `run` with max_passes = 0 and the
+ground truth given, which is run()'s setup plus one monitoring call (A z,
+the loss and the relative error), on each Gaussian instance above; each
+repeat makes OBSERVE_CALLS calls and the row keeps seconds per call.
+
+Import row: wall seconds of a fresh `python -c "import phasekit"` process
+that imports this checkout's phasekit, and the peak RSS it reports.
 
 Setup rows: building a real and a complex Gaussian instance (n=1000,
 m=8n) and a coded-diffraction one (n=128^2, 12 masks) (sensing.build), and
@@ -32,6 +40,7 @@ import json
 import os
 import platform
 import statistics
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -39,7 +48,8 @@ from pathlib import Path
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+sys.path.insert(0, SRC)
 
 import numpy as np  # noqa: E402
 import scipy  # noqa: E402
@@ -51,6 +61,9 @@ from phasekit.spectral import spectral_initialize  # noqa: E402
 from phasekit.streams import substream  # noqa: E402
 
 N, RATIO, PASSES, K = 1000, 8, 3, 64
+OBSERVE_CALLS = 50
+# the import row's child prints its own peak RSS (KiB on Linux)
+IMPORT_CHILD = "import resource, phasekit; print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)"
 ALGORITHMS = ("rwf", "wf", "irwf", "kaczmarz_pr", "minibatch_irwf", "block_kaczmarz_pr")
 # (model, n, m/n, algorithms, k)
 INSTANCES = (
@@ -117,6 +130,34 @@ def time_pass(y, A, z0, alg, k, reps):
     return med / PASSES, low / PASSES
 
 
+def time_observe(y, A, z0, x, reps):
+    cfg = SolverConfig(algorithm="rwf", max_passes=0)
+
+    def calls():
+        for _ in range(OBSERVE_CALLS):
+            run(y, A, z0, cfg, x_opt=x)
+
+    med, low = median_min(calls, reps)
+    return med / OBSERVE_CALLS, low / OBSERVE_CALLS
+
+
+def import_row(reps):
+    """Wall seconds and peak RSS of fresh processes importing phasekit."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    secs, rss = [], []
+    for _ in range(reps):
+        t0 = time.perf_counter()
+        done = subprocess.run([sys.executable, "-c", IMPORT_CHILD], env=env,
+                              capture_output=True, text=True, check=True)
+        secs.append(time.perf_counter() - t0)
+        rss.append(int(done.stdout) / 1024.0)
+    row = {"layer": "import", "reps": reps, "median_s": statistics.median(secs), "min_s": min(secs),
+           "median_rss_mb": statistics.median(rss), "min_rss_mb": min(rss)}
+    print("%-28s %-8s %7s median %8.3f ms  min %8.3f ms  rss %7.1f MB"
+          % ("import", "", "", 1e3 * row["median_s"], 1e3 * row["min_s"], row["median_rss_mb"]))
+    return row
+
+
 def build(model, n, ratio):
     if model == "cdp":
         return make_cdp(n, ratio, seed=11)
@@ -151,11 +192,18 @@ def main():
     if args.reps < 5:
         ap.error("--reps must be at least 5")
 
-    rows = setup_rows(args.reps)
+    rows = [import_row(args.reps)] + setup_rows(args.reps)
     for model, n, ratio, algs, k in INSTANCES:
         A = build(model, n, ratio)
-        y = measure(A, random_signal(n, A.field, substream(11, "x")))
+        x = random_signal(n, A.field, substream(11, "x"))
+        y = measure(A, x)
         z0 = random_signal(n, A.field, substream(11, "z0"))
+        if model != "cdp":
+            med, low = time_observe(y, A, z0, x, args.reps)
+            rows.append({"layer": "solvers.observe", "model": model, "n": n, "m": A.m,
+                         "calls": OBSERVE_CALLS, "reps": args.reps, "median_s": med, "min_s": low})
+            print("%-28s %-8s n=%-5d median %8.3f ms  min %8.3f ms"
+                  % ("solvers.observe", model, n, 1e3 * med, 1e3 * low))
         for alg in algs:
             med, low = time_pass(y, A, z0, alg, k, args.reps)
             rows.append({"layer": "solvers.%s.pass" % alg, "model": model, "n": n, "m": A.m,
@@ -168,6 +216,8 @@ def main():
     doc.setdefault("runs", {})[args.label] = {
         "machine": machine(),
         "what": "pass rows: seconds per pass of a %d-pass run recording every pass; "
+                "observe rows: seconds per max_passes=0 run with the ground truth; "
+                "import row: seconds and peak RSS of a fresh process importing phasekit; "
                 "setup rows: seconds per call, and MB allocated at peak (tracemalloc)" % PASSES,
         "rows": rows,
     }

@@ -21,9 +21,12 @@ Each update formula lives in one private kernel that changes z in place:
 the public step functions apply it to a copy of z, run() to its iterate.
 A single-sample update is two BLAS level-1 calls from scipy: dot (dotc in
 the complex field) for a_i^* z, then axpy for z + (-c step) a_i, which
-rounds each entry once (a fused multiply-add).
+rounds each entry once (a fused multiply-add).  run() takes Gaussian rows
+from a list of row views built once per run, which indexes in about a
+third of the time of the 2-D array.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,11 +34,12 @@ from scipy.linalg import cho_solve, get_blas_funcs, get_lapack_funcs
 
 from .core import (
     COMPLEX,
+    _check_pair,
     amplitude_loss,
     as_signal,
+    dist_up_to_phase,
     intensity_loss,
     phase,
-    relative_error,
 )
 from .sensing import CDP, GaussianEnsemble
 from .streams import substream
@@ -326,16 +330,22 @@ def run(y, A, z0, cfg, x_opt=None):
             raise ValueError("zero sensing row %d" % np.flatnonzero(A.row_sqnorms() == 0)[0])
         steps = (1.0 / A.row_sqnorms()).tolist() if alg == "kaczmarz_pr" else [step] * m
         yl = yv.tolist()
-        row = A.rows.__getitem__ if isinstance(A, GaussianEnsemble) else A.row
+        row = list(A.rows).__getitem__ if isinstance(A, GaussianEnsemble) else A.row
 
     use_loss = x_opt is None
+    if not use_loss:
+        # relative_error's checks and ||x_opt||, once per run
+        x_opt = _check_pair(z, as_signal(x_opt))[1]
+        nx = float(np.linalg.norm(x_opt))
+        if nx == 0:
+            raise ValueError("relative error undefined for zero reference signal")
     loss_fn = intensity_loss if alg == "wf" else amplitude_loss
     residual = _intensity_residual if alg == "wf" else _amplitude_residual
 
     def observe(zc):
         fz = A.apply(zc)
         loss = loss_fn(fz, yv)
-        rel = float("nan") if use_loss else relative_error(zc, x_opt)
+        rel = float("nan") if use_loss else dist_up_to_phase(zc, x_opt) / nx
         return fz, rel, loss, (loss if use_loss else rel)
 
     # fz holds A z for the current z once observe() has computed it, so a
@@ -352,7 +362,10 @@ def run(y, A, z0, cfg, x_opt=None):
         if alg in ("rwf", "wf"):
             if fz is None:
                 fz = A.apply(z)
-            z -= (mu / m) * A.adjoint_apply(residual(fz, yv))
+            # scaled in place: the roundings of z - (mu/m) g, no temporary
+            g = A.adjoint_apply(residual(fz, yv))
+            g *= mu / m
+            z -= g
         elif alg in ("irwf", "kaczmarz_pr"):
             z = _sample_updates(z, rng.integers(0, m, size=m).tolist(), yl, steps, row)
         elif alg == "minibatch_irwf":
@@ -370,7 +383,7 @@ def run(y, A, z0, cfg, x_opt=None):
 
         if p % cfg.record_every == 0 or p == cfg.max_passes:
             fz, rel, loss, gauge = observe(z)
-            if not np.isfinite(gauge):
+            if not math.isfinite(gauge):
                 # keep history finite; the blown-up point is not recorded
                 stop_reason = "diverged"
                 break

@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 from phasekit.core import (
     COMPLEX,
     REAL,
+    amplitude_loss,
     dist_up_to_phase,
+    intensity_loss,
     phase,
     random_signal,
     relative_error,
@@ -557,6 +559,45 @@ def test_run_batch_pass_reuses_monitored_product(alg, field):
         assert (counted.applies, counted.adjoints) == (P + 1, P)
         iterates.append(tr.iterate)
     assert all(np.array_equal(iterates[0], z) for z in iterates[1:])
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (lambda x: np.where(np.arange(8) == 3, np.nan, x), "non-finite"),
+        (lambda x: np.where(np.arange(8) == 5, -np.inf, x), "non-finite"),
+        (lambda x: np.zeros(8), "zero reference signal"),
+        (lambda x: x[:7], "matching length"),
+        (lambda x: x.astype(np.complex128), "same field"),
+    ],
+    ids=["nan", "inf", "zero", "wrong-length", "wrong-field"],
+)
+def test_run_rejects_bad_reference_before_any_pass(bad, message):
+    # a non-finite x_opt used to run a pass and report a divergence
+    A, x, y = _instance(8, 40, REAL, seed=59)
+    z0 = random_signal(8, REAL, substream(591))
+    counted = _CountingEnsemble(A)
+    with pytest.raises(ValueError, match=message):
+        run(y, counted, z0, SolverConfig(max_passes=5), x_opt=bad(x))
+    assert (counted.applies, counted.adjoints) == (0, 0)
+
+
+@pytest.mark.parametrize("alg", ["rwf", "wf", "irwf", "kaczmarz_pr"])
+@pytest.mark.parametrize("field", [REAL, COMPLEX, CDP])
+def test_run_history_equals_public_definitions(alg, field):
+    # run() monitors without calling relative_error or np.mean; its record
+    # must still be the public definitions' bits at the returned iterate
+    A, x, y = _instance(8, 32, field, seed=60)
+    z0 = random_signal(8, A.field, substream(601))
+    loss = intensity_loss if alg == "wf" else amplitude_loss
+    for p in range(4):
+        cfg = SolverConfig(algorithm=alg, max_passes=p, tol=1e-300, seed=5)
+        tr = run(y, A, z0, cfg, x_opt=x)
+        assert tr.passes_used == p
+        last = tr.history[-1]
+        assert last[0] == p
+        assert last[1] == relative_error(tr.iterate, x)
+        assert last[2] == loss(A.apply(tr.iterate), y.values)
 
 
 # --- run loop vs public step functions (bitwise replay) ----------------------

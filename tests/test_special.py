@@ -1,11 +1,16 @@
 """K0 and erfc: domain errors, identities, reference values and monotonicity."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.integrate
 
+import phasekit
 from phasekit.special import bessel_k0, bessel_k0e, erfc
 
 
@@ -68,3 +73,24 @@ def test_erfc_monotone_and_bounded():
     assert all(0.0 <= v <= 2.0 for v in vals)
     core = [erfc(float(z)) for z in np.linspace(-5, 5, 100)]
     assert all(b < a for a, b in zip(core, core[1:]))
+
+
+_LAZY_IMPORT_CHECK = """
+import sys
+import phasekit
+assert "scipy.special" not in sys.modules, "import phasekit loaded scipy.special"
+from phasekit.special import bessel_k0e, erfc
+got = (bessel_k0e(1.0).hex(), erfc(0.5).hex())
+assert "scipy.special" in sys.modules, "the first call did not load scipy.special"
+import scipy.special
+assert got == (float(scipy.special.k0e(1.0)).hex(), float(scipy.special.erfc(0.5)).hex()), got
+"""
+
+
+def test_import_leaves_scipy_special_unloaded_until_first_call():
+    # a fresh interpreter, since this one has scipy.special loaded already
+    src = str(Path(phasekit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", _LAZY_IMPORT_CHECK], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
