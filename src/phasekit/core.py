@@ -72,10 +72,7 @@ def phase(v):
     v = np.asarray(v)
     if np.iscomplexobj(v):
         mag = np.abs(v)
-        out = np.zeros_like(v)
-        nz = mag > 0
-        out[nz] = v[nz] / mag[nz]
-        return out
+        return np.divide(v, mag, out=np.zeros_like(v), where=mag > 0)
     return np.sign(v)
 
 
@@ -86,7 +83,9 @@ def _check_pair(z, x):
         raise ValueError("signals must be 1-D with matching length")
     if np.iscomplexobj(z) != np.iscomplexobj(x):
         raise ValueError("signals must live in the same field")
-    return z, x
+    # in double precision, so integer input cannot wrap in the dot products
+    dtype = np.complex128 if np.iscomplexobj(z) else np.float64
+    return z.astype(dtype, copy=False), x.astype(dtype, copy=False)
 
 
 def best_phase(z, x):

@@ -118,11 +118,13 @@ def _trial(cfg, labels, value, algorithms, level=None):
     return x, A, init, solved
 
 
-def _final_errors(args):
-    """Pool worker: {algorithm: final relative error} for one trial."""
-    cfg, labels, value, level = args
-    _, _, _, solved = _trial(cfg, labels, value, cfg.algorithms, level)
-    return {alg: trace.final_error() for alg, trace, _ in solved}
+def _outcome(args):
+    """Pool worker for every pooled driver: one trial's init relative error
+    and {algorithm: (final error, passes used, solve seconds)}."""
+    cfg, labels, value, level, algorithms = args
+    x, _, init, solved = _trial(cfg, labels, value, algorithms, level)
+    outcomes = {alg: (trace.final_error(), trace.passes_used, secs) for alg, trace, secs in solved}
+    return relative_error(init.z0, x), outcomes
 
 
 def _map_trials(worker, args, jobs):
@@ -130,6 +132,18 @@ def _map_trials(worker, args, jobs):
         return [worker(a) for a in args]
     with ProcessPoolExecutor(max_workers=jobs) as ex:
         return list(ex.map(worker, args, chunksize=1))
+
+
+def _grid(cfg, tag, points, algorithms):
+    """_outcome of cfg.trials trials at each (size value, noise level) point,
+    labelled (tag, point index, trial); returns one list per point."""
+    args = [
+        (cfg, (tag, i, t), value, level, algorithms)
+        for i, (value, level) in enumerate(points)
+        for t in range(cfg.trials)
+    ]
+    out = _map_trials(_outcome, args, cfg.jobs)
+    return [out[i * cfg.trials : (i + 1) * cfg.trials] for i in range(len(points))]
 
 
 def _table(cfg, columns, rows):
@@ -149,19 +163,11 @@ def run_phase_transition(cfg):
     ensemble, and initialization per trial; all algorithms share them.
     """
     values = _sweep_values(cfg)
-    args = [
-        (cfg, ("pt", vi, t), value, None)
-        for vi, value in enumerate(values)
-        for t in range(cfg.trials)
-    ]
-    finals = _map_trials(_final_errors, args, cfg.jobs)
+    grid = _grid(cfg, "pt", [(value, None) for value in values], cfg.algorithms)
     rows = []
     for alg in cfg.algorithms:
-        for vi, value in enumerate(values):
-            errs = [
-                finals[vi * cfg.trials + t][alg] for t in range(cfg.trials)
-            ]
-            succ = sum(1 for e in errs if e <= cfg.success_tol)
+        for value, outcomes in zip(values, grid):
+            succ = sum(1 for _, solved in outcomes if solved[alg][0] <= cfg.success_tol)
             rows.append(
                 {
                     "algorithm": alg,
@@ -178,12 +184,6 @@ def run_phase_transition(cfg):
 # --- convergence race ---------------------------------------------------
 
 
-def _race_trial(args):
-    cfg, trial = args
-    _, _, _, solved = _trial(cfg, ("race", trial), _sweep_values(cfg)[0], cfg.algorithms)
-    return {alg: (trace.passes_used, secs, trace.stop_reason) for alg, trace, secs in solved}
-
-
 def run_convergence_race(cfg):
     """Mean passes (and wall seconds, informational) to cfg.success_tol.
 
@@ -191,13 +191,14 @@ def run_convergence_race(cfg):
     starts from the same point.  Budget-limited runs contribute their full
     pass budget to the mean.
     """
-    args = [(cfg, t) for t in range(cfg.trials)]
-    results = _map_trials(_race_trial, args, cfg.jobs)
-    m = _m_of(cfg, _sweep_values(cfg)[0])
+    value = _sweep_values(cfg)[0]
+    args = [(cfg, ("race", t), value, None, cfg.algorithms) for t in range(cfg.trials)]
+    results = _map_trials(_outcome, args, cfg.jobs)
+    m = _m_of(cfg, value)
     rows = []
     for alg in cfg.algorithms:
-        passes = [r[alg][0] for r in results]
-        secs = [r[alg][1] for r in results]
+        passes = [solved[alg][1] for _, solved in results]
+        secs = [solved[alg][2] for _, solved in results]
         rows.append(
             {
                 "algorithm": alg,
@@ -213,20 +214,13 @@ def run_convergence_race(cfg):
 # --- initialization accuracy --------------------------------------------
 
 
-def _ia_trial(args):
-    cfg, vi, trial = args
-    x, _, init, _ = _trial(cfg, ("ia", vi, trial), _sweep_values(cfg)[vi], ())
-    return relative_error(init.z0, x)
-
-
 def run_init_accuracy(cfg):
     """Median and quartiles of the spectral-init error per sample size."""
     values = _sweep_values(cfg)
-    args = [(cfg, vi, t) for vi in range(len(values)) for t in range(cfg.trials)]
-    errs = _map_trials(_ia_trial, args, cfg.jobs)
+    grid = _grid(cfg, "ia", [(value, None) for value in values], ())
     rows = []
-    for vi, value in enumerate(values):
-        block = np.array(errs[vi * cfg.trials : (vi + 1) * cfg.trials])
+    for value, outcomes in zip(values, grid):
+        block = np.array([init_err for init_err, _ in outcomes])
         rows.append(
             {
                 "n": cfg.n,
@@ -251,16 +245,11 @@ def run_noise_sweep(cfg):
     """
     levels = (0.0,) if cfg.noise_kind == "none" else cfg.alphas
     value = _sweep_values(cfg)[0]
-    args = [
-        (cfg, ("ns", li, t), value, level)
-        for li, level in enumerate(levels)
-        for t in range(cfg.trials)
-    ]
-    finals = _map_trials(_final_errors, args, cfg.jobs)
+    grid = _grid(cfg, "ns", [(value, level) for level in levels], cfg.algorithms)
     rows = []
     for alg in cfg.algorithms:
-        for li, level in enumerate(levels):
-            block = [finals[li * cfg.trials + t][alg] for t in range(cfg.trials)]
+        for level, outcomes in zip(levels, grid):
+            block = [solved[alg][0] for _, solved in outcomes]
             rows.append(
                 {
                     "algorithm": alg,

@@ -73,6 +73,9 @@ def read_csv(path):
             cells = line.split(",")
             if columns is None:
                 columns = tuple(cells)
+            elif len(cells) != len(columns):
+                msg = "row of %d cells under %d columns in %s"
+                raise ValueError(msg % (len(cells), len(columns), path))
             else:
                 rows.append(dict(zip(columns, cells)))
     if columns is None:
@@ -81,28 +84,14 @@ def read_csv(path):
 
 
 def csv_fingerprint(path, ignore_columns=()):
-    """Canonical bytes for determinism checks.
+    """Canonical bytes for determinism checks: read_csv's parse re-joined.
 
     Drops the timestamp metadata line and masks the named columns (used
     for wall-clock fields, which legitimately differ between reruns).
     """
-    out = []
-    columns = None
-    drop = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if body.startswith(TIMESTAMP_KEY) and "=" in body:
-                    continue
-                out.append(line)
-                continue
-            cells = line.split(",")
-            if columns is None:
-                columns = cells
-                drop = {i for i, c in enumerate(columns) if c in ignore_columns}
-            else:
-                cells = ["_" if i in drop else c for i, c in enumerate(cells)]
-            out.append(",".join(cells))
-    return "\n".join(out).encode("utf-8")
+    metadata, columns, rows = read_csv(path)
+    lines = ["# %s = %s" % (k, v) for k, v in metadata.items() if k != TIMESTAMP_KEY]
+    lines.append(",".join(columns))
+    for row in rows:
+        lines.append(",".join("_" if c in ignore_columns else row[c] for c in columns))
+    return "\n".join(lines).encode("utf-8")

@@ -126,6 +126,12 @@ class Ensemble:
     def row_sqnorm(self, i):
         return float(self.row_sqnorms()[i])
 
+    def _check_rows(self, idx):
+        idx = np.asarray(idx, dtype=np.intp)
+        if idx.size and (idx.min() < 0 or idx.max() >= self.m):
+            raise IndexError("row index out of range")
+        return idx
+
     def block_rows(self, idx):
         """Rows a_i for i in idx, stacked (len(idx), n)."""
         raise NotImplementedError
@@ -178,11 +184,11 @@ class GaussianEnsemble(Ensemble):
         return self.rows[i]
 
     def block_rows(self, idx):
-        return self.rows[np.asarray(idx, dtype=np.intp)]
+        return self.rows[self._check_rows(idx)]
 
     def block_apply(self, idx, z):
         z = self._check_signal(z)
-        B = self.rows[np.asarray(idx, dtype=np.intp)]
+        B = self.block_rows(idx)
         if self.kind == GAUSSIAN_COMPLEX:
             return np.conj(B @ np.conj(z.astype(np.complex128, copy=False)))
         return B @ z
@@ -249,10 +255,7 @@ class CDPEnsemble(Ensemble):
         return self._masks_conj[l] * self._twiddle_conj[k * np.arange(self.n) % self.n]
 
     def block_rows(self, idx):
-        idx = np.asarray(idx, dtype=np.intp)
-        if idx.size and (idx.min() < 0 or idx.max() >= self.m):
-            raise IndexError("row index out of range")
-        l, k = np.divmod(idx, self.n)
+        l, k = np.divmod(self._check_rows(idx), self.n)
         return self._masks_conj[l] * self._twiddle_conj[np.outer(k, np.arange(self.n)) % self.n]
 
     def row_sqnorms(self):

@@ -318,7 +318,8 @@ def run(y, A, z0, cfg, x_opt=None):
     alg = cfg.algorithm
     m, n = A.m, A.n
     yv = y.values
-    rng = substream(cfg.seed, "solver")
+    # only the sampling algorithms draw indices
+    rng = None if alg in ("rwf", "wf") else substream(cfg.seed, "solver")
     k = min(cfg.minibatch_k, m)
     updates_per_pass = -(-m // k)  # ceil(m/k)
     step = cfg.rho0 / n

@@ -126,6 +126,13 @@ def test_dist_rejects_mismatched_inputs(rng):
         dist_up_to_phase(rng.standard_normal(4) + 0j, rng.standard_normal(4))
 
 
+def test_dist_integer_input_does_not_wrap():
+    # 2**32 squared is 2**64, which wraps to 0 in int64 arithmetic
+    z = np.array([2**32, 0])
+    assert dist_up_to_phase(z, np.array([0, 0])) == 4294967296.0
+    assert relative_error(z, np.array([0, 1])) == 4294967296.0
+
+
 # --- relative_error ---------------------------------------------------------
 
 

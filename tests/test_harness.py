@@ -188,9 +188,13 @@ def test_csv_fingerprint_masks_columns(tmp_path):
 
 def test_read_csv_requires_header(tmp_path):
     p = tmp_path / "empty.csv"
-    p.write_text("# only = metadata\n")
-    with pytest.raises(ValueError):
-        read_csv(str(p))
+    # no header, then rows with a cell too many and a cell too few
+    for text in ("# only = metadata\n", "a,b\n1,2,3\n", "a,b\n4\n"):
+        p.write_text(text)
+        with pytest.raises(ValueError):
+            read_csv(str(p))
+        with pytest.raises(ValueError):
+            csv_fingerprint(str(p))
 
 
 # --- pgm --------------------------------------------------------------------
@@ -510,7 +514,6 @@ def test_execute_rerun_fingerprints_match(tmp_path):
 
 def test_parallel_trials_match_serial():
     base = dict(
-        experiment="phase_transition",
         n=12,
         m_over_n=(3.0, 6.0),
         algorithms=("rwf",),
@@ -518,9 +521,24 @@ def test_parallel_trials_match_serial():
         iteration_budget=40,
         seed=3,
     )
-    serial = run_phase_transition(ExperimentConfig(**base, jobs=1).validate())
-    parallel = run_phase_transition(ExperimentConfig(**base, jobs=2).validate())
-    assert serial.rows == parallel.rows
+    drivers = [
+        (run_phase_transition, dict(experiment="phase_transition")),
+        (run_init_accuracy, dict(experiment="init_accuracy")),
+        (
+            run_noise_sweep,
+            dict(experiment="noise_sweep", noise_kind="poisson", alphas=(0.01, 1.0)),
+        ),
+        (run_convergence_race, dict(experiment="convergence_race", algorithms=("rwf", "irwf"))),
+    ]
+
+    def rows(driver, kwargs, jobs):
+        # mean_seconds is wall clock, the one field allowed to differ
+        table = driver(ExperimentConfig(**kwargs, jobs=jobs).validate())
+        return [{k: v for k, v in r.items() if k != "mean_seconds"} for r in table.rows]
+
+    for driver, extra in drivers:
+        kwargs = {**base, **extra}
+        assert rows(driver, kwargs, 1) == rows(driver, kwargs, 2), extra["experiment"]
 
 
 # --- command line -----------------------------------------------------------

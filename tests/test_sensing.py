@@ -222,9 +222,14 @@ def test_cdp_block_rows_stack_rows():
     A = make_cdp(12, 3, seed=4)
     idx = [35, 0, 13, 12, 11]
     assert np.array_equal(A.block_rows(idx), np.stack([A.row(i) for i in idx]))
-    for bad in ([0, 36], [-1]):
-        with pytest.raises(IndexError):
-            A.block_rows(bad)
+    for B in (A, make_gaussian(12, 36, REAL, seed=4)):
+        for bad in ([0, 36], [-1]):
+            with pytest.raises(IndexError):
+                B.block_rows(bad)
+            with pytest.raises(IndexError):
+                B.block_apply(bad, np.ones(12))
+            with pytest.raises(IndexError):
+                B.block_adjoint(bad, np.ones(len(bad)))
 
 
 def test_dimension_mismatch_errors():
