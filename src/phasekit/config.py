@@ -17,7 +17,7 @@ loudly before any computation starts.
 
 from dataclasses import dataclass, fields
 
-from .solvers import ALGORITHMS
+from .solvers import SolverConfig
 
 EXPERIMENTS = (
     "phase_transition",
@@ -77,23 +77,13 @@ class ExperimentConfig:
             raise ConfigError("every mask count must be >= 2")
         if not self.algorithms:
             raise ConfigError("need at least one algorithm")
-        for a in self.algorithms:
-            if a not in ALGORITHMS:
-                raise ConfigError("unknown algorithm %r" % a)
+        self._validate_solvers()
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
         if self.success_tol <= 0:
             raise ConfigError("success_tol must be positive")
         if self.iteration_budget < 0:
             raise ConfigError("iteration_budget must be >= 0")
-        if self.minibatch_k < 1:
-            raise ConfigError("minibatch_k must be >= 1")
-        if self.mu is not None and self.mu <= 0:
-            raise ConfigError("mu must be positive when set")
-        if self.rho0 <= 0:
-            raise ConfigError("rho0 must be positive")
-        if self.record_every < 1:
-            raise ConfigError("record_every must be >= 1")
         if self.noise_kind not in NOISE_KINDS:
             raise ConfigError("unknown noise kind %r" % self.noise_kind)
         if self.noise_level < 0:
@@ -107,6 +97,30 @@ class ExperimentConfig:
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
         return self
+
+    def _validate_solvers(self):
+        """SolverConfig's own checks for each algorithm at each swept size
+        (m, n), so that a bad block size fails before any computation.  The
+        image demo's n comes from the image; it gets the size-free checks."""
+        if self.experiment == "image_demo":
+            sizes = [(None, None)]
+        elif self.model == "cdp":
+            sizes = [(self.n * int(L), self.n) for L in self.masks]
+        else:
+            sizes = [(int(round(r * self.n)), self.n) for r in self.m_over_n]
+        for alg in self.algorithms:
+            solver = SolverConfig(
+                algorithm=alg,
+                mu=self.mu,
+                rho0=self.rho0,
+                minibatch_k=self.minibatch_k,
+                record_every=self.record_every,
+            )
+            for m, n in sizes:
+                try:
+                    solver.validate(m, n)
+                except ValueError as exc:
+                    raise ConfigError("%s: %s" % (alg, exc)) from exc
 
 
 _FIELDS = {f.name: f for f in fields(ExperimentConfig)}

@@ -84,14 +84,14 @@ def _noise_spec(cfg, x, labels, level=None):
     return NoiseSpec("bounded", level=float(rel) * float(np.linalg.norm(x)), seed=seed)
 
 
-def _solver_cfg(cfg, algorithm, labels, tol=None, budget=None):
+def _solver_cfg(cfg, algorithm, labels):
     return SolverConfig(
         algorithm=algorithm,
         mu=cfg.mu,
         rho0=cfg.rho0,
         minibatch_k=cfg.minibatch_k,
-        max_passes=cfg.iteration_budget if budget is None else budget,
-        tol=cfg.success_tol if tol is None else tol,
+        max_passes=cfg.iteration_budget,
+        tol=cfg.success_tol,
         seed=derive_seed(cfg.seed, "solver", algorithm, *labels),
         record_every=cfg.record_every,
     )

@@ -123,8 +123,13 @@ class Ensemble:
             raise ValueError("vector length %s does not match m=%d" % (v.shape, self.m))
         return v
 
+    def _check_row(self, i):
+        if not 0 <= i < self.m:
+            raise IndexError("row index %d out of range" % i)
+        return i
+
     def row_sqnorm(self, i):
-        return float(self.row_sqnorms()[i])
+        return float(self.row_sqnorms()[self._check_row(i)])
 
     def _check_rows(self, idx):
         idx = np.asarray(idx, dtype=np.intp)
@@ -179,9 +184,7 @@ class GaussianEnsemble(Ensemble):
         return self.rows.T @ v
 
     def row(self, i):
-        if not 0 <= i < self.m:
-            raise IndexError("row index %d out of range" % i)
-        return self.rows[i]
+        return self.rows[self._check_row(i)]
 
     def block_rows(self, idx):
         return self.rows[self._check_rows(idx)]
@@ -249,9 +252,7 @@ class CDPEnsemble(Ensemble):
         return self._masks_conj[l] * (self.n * np.fft.ifft(np.asarray(u, dtype=np.complex128)))
 
     def row(self, i):
-        if not 0 <= i < self.m:
-            raise IndexError("row index %d out of range" % i)
-        l, k = divmod(i, self.n)
+        l, k = divmod(self._check_row(i), self.n)
         return self._masks_conj[l] * self._twiddle_conj[k * np.arange(self.n) % self.n]
 
     def block_rows(self, idx):
@@ -263,6 +264,7 @@ class CDPEnsemble(Ensemble):
         return np.full(self.m, float(self.n))
 
     def row_sqnorm(self, i):
+        self._check_row(i)
         return float(self.n)
 
     def row_l1_sum(self):

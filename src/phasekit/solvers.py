@@ -186,9 +186,17 @@ def _sample_updates(z, idx, y, steps, row):
     return z
 
 
+def _block_apply(B, z):
+    """A_G z from the stacked rows B = (a_i), i in G: conj(B @ conj(z)) for
+    complex rows, which never conjugates B."""
+    return np.conj(B @ np.conj(z)) if np.iscomplexobj(B) else B @ z
+
+
 def _block_update(z, gamma, y, A, step):
-    """z -= step A_G^*(A_G z - y_G . ph(A_G z)), the minibatch update."""
-    z -= step * A.block_adjoint(gamma, _amplitude_residual(A.block_apply(gamma, z), y[gamma]))
+    """z -= step A_G^*(A_G z - y_G . ph(A_G z)), the minibatch update; the
+    k rows are gathered once."""
+    B = A.block_rows(gamma)
+    z -= step * (B.T @ _amplitude_residual(_block_apply(B, z), y[gamma]))
     return z
 
 
@@ -280,8 +288,8 @@ def block_kaczmarz_step(z, gamma, y, A):
         return _mask_projection(z, l, y.values, A)
 
     B = A.block_rows(gamma)  # rows a_i
-    M = np.conj(B) if np.iscomplexobj(B) else B  # A_G, so that fz = M z
-    resid = _amplitude_residual(M @ z, y.values[gamma])
+    resid = _amplitude_residual(_block_apply(B, z), y.values[gamma])
+    M = np.conj(B) if np.iscomplexobj(B) else B  # A_G
     G = M @ B.T  # A_G A_G^*; B @ B.T (one SYRK) for real rows
     potrf, pocon = get_lapack_funcs(("potrf", "pocon"), (G,))
     c, info = potrf(G)

@@ -14,18 +14,18 @@ and scale it to length lambda0.  Two preprocessings choose the weights:
   real Gaussian rows (Mondelli & Montanari 2017, arXiv:1708.05932; Luo,
   Alghamdi & Lu 2019, arXiv:1811.04420).  The same T serves complex and
   coded-diffraction data, where it is supported by measurement only.
-  T is negative for small y, so the top algebraic eigenvector comes from
-  Lanczos (scipy's eigsh on a LinearOperator) rather than power iteration.
-  Complex and coded-diffraction Y run in eigsh's real symmetric mode,
-  through the real 2n x 2n embedding of Y that the float64 view of a
-  complex vector gives.  It needs m > n, where the denominator stays
-  positive.
+  T is negative for small y, so the eigenvector sought is the top
+  algebraic one.  It needs m > n, where the denominator stays positive.
 * "truncated": the paper's T_i = y_i * 1{lo < y_i < hi}, with the window
-  [lo, hi] = [trunc_lower, trunc_upper] * lambda0 discarding samples whose
-  magnitude is out of scale with the norm estimate; power iteration.
+  (lo, hi) = (TRUNC_LOWER, TRUNC_UPPER) * lambda0 = (1, 5) * lambda0
+  discarding samples whose magnitude is out of scale with the norm
+  estimate.
 
-Y is never formed; both eigensolvers only need the product
-v -> (1/m) A^*(T . (A v)).
+Both take the top eigenvector from the same Lanczos run (scipy's eigsh on
+a LinearOperator).  Complex and coded-diffraction Y run in eigsh's real
+symmetric mode, through the real 2n x 2n embedding of Y that the float64
+view of a complex vector gives.  Y is never formed; Lanczos only needs the
+product v -> (1/m) A^*(T . (A v)).
 """
 
 from dataclasses import dataclass
@@ -38,9 +38,12 @@ from .streams import substream
 
 PREPROCESSINGS = ("optimal", "truncated")
 
+# the paper's truncation window, in units of lambda0
+TRUNC_LOWER, TRUNC_UPPER = 1.0, 5.0
+
 # Lanczos stopping tolerance on the top Ritz value.  At n = 1000, m = 8n it
-# takes about 31 covariance products (real and complex), under the 50 that
-# the truncated power iteration spends, and gives the dense eigenvector.
+# takes about 31 covariance products (41 for the truncated init on complex
+# data) and gives the dense eigenvector.
 LANCZOS_TOL = 1e-10
 
 
@@ -51,32 +54,14 @@ class EmptyTruncationError(ValueError):
 
 @dataclass(frozen=True)
 class InitParams:
-    """Preprocessing choice, truncation window and power-iteration controls.
+    """Preprocessing choice: "optimal" (default; needs m > n) or
+    "truncated" (the paper's init)."""
 
-    preprocessing is "optimal" (default; Lanczos, needs m > n) or
-    "truncated" (the paper's init).  The remaining fields apply to
-    "truncated" only: window [trunc_lower, trunc_upper] * lambda0 and
-    power_iters = 50 power iterations by default.  power_tol = 0 disables
-    early stopping so that iteration-count-controlled comparisons stay
-    controlled; a positive tolerance stops once successive Rayleigh
-    quotients change less than it.
-    """
-
-    trunc_lower: float = 1.0
-    trunc_upper: float = 5.0
-    power_iters: int = 50
-    power_tol: float = 0.0
     preprocessing: str = "optimal"
 
     def __post_init__(self):
         if self.preprocessing not in PREPROCESSINGS:
             raise ValueError("unknown preprocessing %r" % (self.preprocessing,))
-        if not 0 < self.trunc_lower < self.trunc_upper:
-            raise ValueError("need 0 < trunc_lower < trunc_upper")
-        if self.power_iters < 1:
-            raise ValueError("power_iters must be >= 1")
-        if self.power_tol < 0:
-            raise ValueError("power_tol must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -87,9 +72,8 @@ class InitResult:
     truncation window, or y_i != lambda0 for "optimal");
     small_truncation_set flags the degenerate regime where fewer than n
     samples have nonzero weight (the init proceeds anyway).
-    iterations_used counts covariance products.  rayleigh holds the
-    Rayleigh-quotient history of the power iteration, or for "optimal"
-    the final eigenvalue alone.
+    iterations_used counts covariance products.  rayleigh holds the top
+    eigenvalue alone, as a 1-tuple.
     """
 
     z0: np.ndarray
@@ -114,10 +98,11 @@ def estimate_norm(y, A):
     return float(A.m * A.n / l1 * np.mean(y.values))
 
 
-def truncation_weights(values, lambda0, params):
-    """Per-sample weights y_i * 1{lo < y_i < hi}, strict inequalities."""
+def truncation_weights(values, lambda0):
+    """Per-sample weights y_i * 1{lo < y_i < hi}, strict inequalities, over
+    the window (lo, hi) = (TRUNC_LOWER, TRUNC_UPPER) * lambda0."""
     v = np.asarray(values, dtype=np.float64)
-    keep = (v > params.trunc_lower * lambda0) & (v < params.trunc_upper * lambda0)
+    keep = (v > TRUNC_LOWER * lambda0) & (v < TRUNC_UPPER * lambda0)
     return v * keep
 
 
@@ -152,26 +137,6 @@ def _start_vector(A, seed):
     else:
         raise ValueError("unknown ensemble field %r" % (A.field,))
     return v / np.linalg.norm(v)
-
-
-def _power_iteration(A, w, v, params):
-    """(unit iterate, Rayleigh history) after params.power_iters steps."""
-    rayleigh = []
-    for _ in range(params.power_iters):
-        u = weighted_covariance_apply(A, w, v)
-        r = float(np.real(np.vdot(v, u)))  # v is unit, so this is v^* Y v
-        rayleigh.append(r)
-        nu = np.linalg.norm(u)
-        if nu == 0:
-            break
-        v = u / nu
-        if (
-            params.power_tol > 0
-            and len(rayleigh) >= 2
-            and abs(rayleigh[-1] - rayleigh[-2]) < params.power_tol
-        ):
-            break
-    return v, rayleigh
 
 
 def _top_eigenpair(A, w, v0):
@@ -211,14 +176,12 @@ def _top_eigenpair(A, w, v0):
 def spectral_initialize(y, A, params=None, seed=0):
     """Spectral initializer: returns InitResult with z0.
 
-    Both eigensolvers start from the same seeded random unit vector in the
-    ensemble's field, so runs are reproducible.  "optimal" runs Lanczos to
-    LANCZOS_TOL (a dense eigendecomposition from n products when n < 3)
-    and raises ValueError when m <= n.  "truncated" runs
-    params.power_iters power-iteration steps (or stops early on a
-    positive power_tol); non-convergence is not an error, and the last
-    iterate is returned.  All-zero weights raise EmptyTruncationError; a
-    Lanczos run that does not converge raises scipy's ArpackNoConvergence.
+    Lanczos runs to LANCZOS_TOL from a seeded random unit vector in the
+    ensemble's field, so runs are reproducible (a dense eigendecomposition
+    from n products when n < 3).  "optimal" raises ValueError when
+    m <= n.  All-zero weights raise EmptyTruncationError; a Lanczos run
+    that does not converge raises scipy's ArpackNoConvergence, for either
+    preprocessing.
     """
     if params is None:
         params = InitParams()
@@ -228,24 +191,17 @@ def spectral_initialize(y, A, params=None, seed=0):
     if params.preprocessing == "optimal":
         w = optimal_weights(y.values, lam0, A.m, A.n)
     else:
-        w = truncation_weights(y.values, lam0, params)
+        w = truncation_weights(y.values, lam0)
     kept = int(np.count_nonzero(w))
     if kept == 0:
         raise EmptyTruncationError("every measurement has zero weight")
 
-    v = _start_vector(A, seed)
-    if params.preprocessing == "optimal":
-        v, top, used = _top_eigenpair(A, w, v)
-        rayleigh = [top]
-    else:
-        v, rayleigh = _power_iteration(A, w, v, params)
-        used = len(rayleigh)
-
+    v, top, used = _top_eigenpair(A, w, _start_vector(A, seed))
     return InitResult(
         z0=lam0 * v,
         lambda0=lam0,
         kept_fraction=kept / A.m,
         iterations_used=used,
-        rayleigh=tuple(rayleigh),
+        rayleigh=(top,),
         small_truncation_set=kept < A.n,
     )

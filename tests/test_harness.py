@@ -122,6 +122,7 @@ def test_load_config_unknown_override():
         {"rho_grid": 1},
         {"normz_grid": 0},
         {"jobs": 0},
+        {"n": 10, "algorithms": ("block_kaczmarz_pr",), "minibatch_k": 64},
     ],
 )
 def test_validate_rejects(kwargs):

@@ -230,6 +230,9 @@ def test_cdp_block_rows_stack_rows():
                 B.block_apply(bad, np.ones(12))
             with pytest.raises(IndexError):
                 B.block_adjoint(bad, np.ones(len(bad)))
+        for bad in (36, -1, 10**9):
+            with pytest.raises(IndexError):
+                B.row_sqnorm(bad)
 
 
 def test_dimension_mismatch_errors():
