@@ -23,13 +23,10 @@ from .core import (
     COMPLEX,
     REAL,
     dist_up_to_phase,
-    load_signal,
     phase,
-    phase_align,
     random_signal,
     relative_error,
     rwf_loss,
-    save_signal,
     wf_loss,
 )
 from .sensing import (
@@ -91,21 +88,18 @@ __all__ = [
     "irwf_step",
     "kaczmarz_step",
     "load_config",
-    "load_signal",
     "make_cdp",
     "make_gaussian",
     "measure",
     "minibatch_irwf_step",
     "monte_carlo_expected_rwf_loss",
     "phase",
-    "phase_align",
     "product_magnitude_density",
     "random_signal",
     "relative_error",
     "run",
     "rwf_gradient",
     "rwf_loss",
-    "save_signal",
     "sign_flip_bound",
     "spectral_initialize",
     "wf_gradient",

@@ -15,6 +15,7 @@ onto an ExperimentConfig field; unknown keys are errors, so typos fail
 loudly before any computation starts.
 """
 
+import math
 from dataclasses import dataclass, fields
 
 from .solvers import SolverConfig
@@ -86,10 +87,11 @@ class ExperimentConfig:
             raise ConfigError("iteration_budget must be >= 0")
         if self.noise_kind not in NOISE_KINDS:
             raise ConfigError("unknown noise kind %r" % self.noise_kind)
-        if self.noise_level < 0:
-            raise ConfigError("noise_level must be >= 0")
-        if not self.alphas or any(a <= 0 for a in self.alphas):
-            raise ConfigError("every alpha must be positive")
+        # the negated tests also reject NaN
+        if not 0 <= self.noise_level < math.inf:
+            raise ConfigError("noise_level must be finite and >= 0")
+        if not self.alphas or not all(0 < a < math.inf for a in self.alphas):
+            raise ConfigError("every alpha must be positive and finite")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
         if self.rho_grid < 2 or self.normz_grid < 1:

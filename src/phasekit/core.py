@@ -11,21 +11,13 @@ scalars are double precision.
 """
 
 import math
-import struct
 
 import numpy as np
 
 REAL = "real"
 COMPLEX = "complex"
 
-_FIELD_TAG = {REAL: 0, COMPLEX: 1}
-_TAG_FIELD = {0: REAL, 1: COMPLEX}
 _TINY = np.finfo(np.float64).tiny  # smallest normal float64
-
-
-def field_of(z):
-    """'real' or 'complex' according to the array dtype."""
-    return COMPLEX if np.iscomplexobj(z) else REAL
 
 
 def as_signal(x, field=None):
@@ -107,11 +99,6 @@ def best_phase(z, x):
     return 1.0 if np.dot(z, x) >= 0 else -1.0
 
 
-def phase_align(z, x):
-    """z rotated by the global phase that best matches x."""
-    return best_phase(z, x) * np.asarray(z)
-
-
 def dist_up_to_phase(z, x):
     """Euclidean distance between z and x minimized over a global phase.
 
@@ -160,39 +147,3 @@ def rwf_loss(z, y, A):
 def wf_loss(z, y, A):
     """Intensity loss (1/4m) sum (|a_i^* z|^2 - y_i^2)^2 of iterate z."""
     return intensity_loss(A.apply(z), np.asarray(y.values))
-
-
-# --- flat binary serialization ----------------------------------------------
-# header: field tag (1 byte: 0 real, 1 complex), n (8-byte LE unsigned);
-# payload: n (real) or 2n (complex, interleaved re/im) LE float64 values.
-
-
-def save_signal(path, z):
-    z = as_signal(z)
-    tag = _FIELD_TAG[field_of(z)]
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<BQ", tag, z.size))
-        if tag == 1:
-            inter = np.empty(2 * z.size, dtype=np.float64)
-            inter[0::2] = z.real
-            inter[1::2] = z.imag
-            fh.write(inter.astype("<f8").tobytes())
-        else:
-            fh.write(z.astype("<f8").tobytes())
-
-
-def load_signal(path):
-    with open(path, "rb") as fh:
-        head = fh.read(9)
-        if len(head) != 9:
-            raise ValueError("truncated signal file header")
-        tag, n = struct.unpack("<BQ", head)
-        if tag not in _TAG_FIELD:
-            raise ValueError("unknown field tag %d" % tag)
-        count = 2 * n if tag == 1 else n
-        payload = np.frombuffer(fh.read(8 * count), dtype="<f8")
-        if payload.size != count:
-            raise ValueError("truncated signal payload")
-    if tag == 1:
-        return (payload[0::2] + 1j * payload[1::2]).astype(np.complex128)
-    return payload.astype(np.float64)

@@ -18,6 +18,7 @@ sqrt(alpha * Poisson(|a_i^* x|^2 / alpha)) whose second moment matches the
 clean intensity.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -89,8 +90,13 @@ class NoiseSpec:
             raise ValueError("unknown noise kind %r" % self.kind)
         if self.kind == "bounded" and self.w is None and self.level is None:
             raise ValueError("bounded noise needs w or level")
-        if self.kind == "poisson" and (self.alpha is None or self.alpha <= 0):
+        if self.kind == "poisson" and self.alpha is None:
             raise ValueError("poisson noise needs alpha > 0")
+        # the negated tests also reject NaN
+        if self.level is not None and not 0 <= self.level < math.inf:
+            raise ValueError("noise level must be finite and >= 0")
+        if self.alpha is not None and not 0 < self.alpha < math.inf:
+            raise ValueError("poisson noise needs a finite alpha > 0")
 
 
 class Ensemble:

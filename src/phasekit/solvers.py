@@ -209,6 +209,25 @@ def _mask_projection(z, l, y, A):
     return z
 
 
+def _block_projection(z, gamma, y, A):
+    """z -= A_G^*(A_G A_G^*)^-1 (A_G z - y_G . ph(A_G z)), the dense block
+    projection; gamma holds distinct in-range indices, at most n of them.
+    Raises LinAlgError as block_kaczmarz_step documents."""
+    B = A.block_rows(gamma)  # rows a_i
+    resid = _amplitude_residual(_block_apply(B, z), y[gamma])
+    M = np.conj(B) if np.iscomplexobj(B) else B  # A_G
+    G = M @ B.T  # A_G A_G^*; B @ B.T (one SYRK) for real rows
+    potrf, pocon = get_lapack_funcs(("potrf", "pocon"), (G,))
+    c, info = potrf(G)
+    if info == 0:
+        rcond, info = pocon(c, np.abs(G).sum(axis=0).max())
+    # the negated test also rejects a NaN estimate
+    if info != 0 or not rcond * BLOCK_CONDITION_LIMIT >= 1:
+        raise np.linalg.LinAlgError("degenerate block")
+    z -= B.T @ cho_solve((c, False), resid, check_finite=False)
+    return z
+
+
 def rwf_gradient(z, y, A):
     """(1/m) A^*(A z - y . ph(A z)), the amplitude-loss search direction."""
     z = _checked_copy(z, y, A)
@@ -287,19 +306,7 @@ def block_kaczmarz_step(z, gamma, y, A):
         # the projection depends on the block as a set, so mask order serves
         return _mask_projection(z, l, y.values, A)
 
-    B = A.block_rows(gamma)  # rows a_i
-    resid = _amplitude_residual(_block_apply(B, z), y.values[gamma])
-    M = np.conj(B) if np.iscomplexobj(B) else B  # A_G
-    G = M @ B.T  # A_G A_G^*; B @ B.T (one SYRK) for real rows
-    potrf, pocon = get_lapack_funcs(("potrf", "pocon"), (G,))
-    c, info = potrf(G)
-    if info == 0:
-        rcond, info = pocon(c, np.abs(G).sum(axis=0).max())
-    # the negated test also rejects a NaN estimate
-    if info != 0 or not rcond * BLOCK_CONDITION_LIMIT >= 1:
-        raise np.linalg.LinAlgError("degenerate block")
-    z -= B.T @ cho_solve((c, False), resid, check_finite=False)
-    return z
+    return _block_projection(z, gamma, y.values, A)
 
 
 def _resolve_batch_step(cfg, A, z0):
@@ -386,7 +393,7 @@ def run(y, A, z0, cfg, x_opt=None):
                 _mask_projection(z, int(rng.integers(0, A.L)), yv, A)
         else:  # block_kaczmarz_pr
             for _ in range(updates_per_pass):
-                z = block_kaczmarz_step(z, rng.choice(m, size=k, replace=False), y, A)
+                _block_projection(z, rng.choice(m, size=k, replace=False), yv, A)
         passes_used = p
         fz = None
 

@@ -1,12 +1,8 @@
-"""Distance modulo global phase, losses, and signal serialization."""
-
-import os
-import struct
-import tempfile
+"""Distance modulo global phase and losses."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from phasekit import core
@@ -16,12 +12,9 @@ from phasekit.core import (
     as_signal,
     best_phase,
     dist_up_to_phase,
-    load_signal,
     phase,
-    phase_align,
     relative_error,
     rwf_loss,
-    save_signal,
 )
 from phasekit.sensing import Measurements, from_rows
 
@@ -213,14 +206,6 @@ def test_best_phase_real_is_sign(rng):
     assert best_phase(-x, x) == -1.0
 
 
-def test_phase_align_achieves_distance(rng):
-    z = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-    x = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-    assert np.linalg.norm(phase_align(z, x) - x) == pytest.approx(
-        dist_up_to_phase(z, x), rel=1e-12
-    )
-
-
 # --- as_signal validation ----------------------------------------------------
 
 
@@ -240,64 +225,3 @@ def test_as_signal_field_rules():
     assert z.dtype == np.complex128
     with pytest.raises(ValueError):
         as_signal(np.array([1.0 + 1j]), field=REAL)
-
-
-# --- serialization ------------------------------------------------------------
-
-
-def test_signal_round_trip_real(tmp_path, rng):
-    x = rng.standard_normal(9)
-    p = tmp_path / "x.sig"
-    save_signal(p, x)
-    back = load_signal(p)
-    assert back.dtype == np.float64
-    assert np.array_equal(back, x)
-
-
-def test_signal_round_trip_complex(tmp_path, rng):
-    x = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-    p = tmp_path / "x.sig"
-    save_signal(p, x)
-    back = load_signal(p)
-    assert back.dtype == np.complex128
-    assert np.array_equal(back, x)
-
-
-def test_signal_header_layout(tmp_path):
-    p = tmp_path / "x.sig"
-    save_signal(p, np.array([1.5, -2.0, 0.25]))
-    raw = p.read_bytes()
-    tag, n = struct.unpack("<BQ", raw[:9])
-    assert (tag, n) == (0, 3)
-    assert len(raw) == 9 + 3 * 8
-    assert np.frombuffer(raw[9:], dtype="<f8")[1] == -2.0
-
-    save_signal(p, np.array([1.0 + 2.0j]))
-    raw = p.read_bytes()
-    tag, n = struct.unpack("<BQ", raw[:9])
-    assert (tag, n) == (1, 1)
-    assert len(raw) == 9 + 2 * 8
-
-
-def test_load_signal_rejects_truncation(tmp_path):
-    p = tmp_path / "x.sig"
-    save_signal(p, np.arange(4.0))
-    raw = p.read_bytes()
-    p.write_bytes(raw[:-3])
-    with pytest.raises(ValueError):
-        load_signal(p)
-    p.write_bytes(raw[:5])
-    with pytest.raises(ValueError):
-        load_signal(p)
-
-
-@settings(max_examples=50)
-@given(st.lists(finite, min_size=1, max_size=12), st.booleans())
-def test_signal_round_trip_property(vals, make_complex):
-    x = np.array(vals)
-    if make_complex:
-        x = x + 1j * x[::-1]
-    with tempfile.TemporaryDirectory() as d:
-        p = os.path.join(d, "x.sig")
-        save_signal(p, x)
-        assert np.array_equal(load_signal(p), as_signal(x))

@@ -123,6 +123,10 @@ def test_load_config_unknown_override():
         {"normz_grid": 0},
         {"jobs": 0},
         {"n": 10, "algorithms": ("block_kaczmarz_pr",), "minibatch_k": 64},
+        {"noise_level": float("nan")},
+        {"noise_level": float("inf")},
+        {"alphas": (float("nan"),)},
+        {"alphas": (1.0, float("inf"))},
     ],
 )
 def test_validate_rejects(kwargs):

@@ -355,6 +355,13 @@ def test_noise_spec_validation():
         NoiseSpec("poisson", alpha=0.0)
     with pytest.raises(ValueError):
         NoiseSpec("salt")
+    for level in (-0.5, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            NoiseSpec("bounded", level=level)
+    for alpha in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            NoiseSpec("poisson", alpha=alpha)
+    NoiseSpec("bounded", level=0.0)  # a zero level stays valid
 
 
 @settings(max_examples=40)

@@ -91,26 +91,41 @@ def test_gradient_measurement_mismatch():
         wf_gradient(np.ones(4), y, A)
 
 
+# each public step function, on index 0 or the block [0, 1]
+_STEP_CALLS = {
+    "rwf_gradient": lambda z, y, A: rwf_gradient(z, y, A),
+    "wf_gradient": lambda z, y, A: wf_gradient(z, y, A),
+    "irwf_step": lambda z, y, A: irwf_step(z, 0, y, A),
+    "kaczmarz_step": lambda z, y, A: kaczmarz_step(z, 0, y, A),
+    "minibatch_irwf_step": lambda z, y, A: minibatch_irwf_step(z, [0, 1], y, A),
+    "block_kaczmarz_step": lambda z, y, A: block_kaczmarz_step(z, [0, 1], y, A),
+}
+
+
 @pytest.mark.parametrize("count", [2, 5])
-@pytest.mark.parametrize(
-    "call",
-    [
-        lambda z, y, A: rwf_gradient(z, y, A),
-        lambda z, y, A: wf_gradient(z, y, A),
-        lambda z, y, A: irwf_step(z, 0, y, A),
-        lambda z, y, A: kaczmarz_step(z, 0, y, A),
-        lambda z, y, A: minibatch_irwf_step(z, [0, 1], y, A),
-        lambda z, y, A: block_kaczmarz_step(z, [0, 1], y, A),
-    ],
-    ids=["rwf_gradient", "wf_gradient", "irwf_step", "kaczmarz_step",
-         "minibatch_irwf_step", "block_kaczmarz_step"],
-)
+@pytest.mark.parametrize("call", list(_STEP_CALLS.values()), ids=list(_STEP_CALLS))
 def test_step_functions_reject_measurement_count_mismatch(call, count):
     # a y longer than m is refused, not read by its first m entries
     A = from_rows([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     y = Measurements(np.ones(count))
     with pytest.raises(ValueError, match="measurement count"):
         call(np.array([0.5, 0.5]), y, A)
+
+
+@pytest.mark.parametrize(
+    "call, field",
+    [pytest.param(c, f, id="%s-%s" % (name, f))
+     for name, c in _STEP_CALLS.items() for f in (REAL, COMPLEX)]
+    + [pytest.param(lambda z, y, A: block_kaczmarz_step(z, np.arange(8, 16), y, A),
+                    CDP, id="block_kaczmarz_step-whole-mask")],
+)
+def test_step_functions_leave_z_unchanged(call, field):
+    # the kernels change z in place; the public wrappers work on a copy
+    A, _, y = _instance(8, 32, field, seed=65)
+    z = random_signal(8, A.field, substream(651))
+    saved = z.copy()
+    call(z, y, A)
+    assert np.array_equal(z, saved)
 
 
 def test_wf_gradient_finite_differences():
