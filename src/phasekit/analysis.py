@@ -19,6 +19,10 @@ Also here: the density of |uv| (through the order-zero Bessel K0), the
 erfc tail bound on the probability that a random row sees x and a nearby
 z with opposite signs, and a Monte Carlo estimator used to cross-check
 the closed form.
+
+The two functions that need scipy.special import it on their first call,
+not with this module, so `import phasekit` does not load it (about 3.5 MB
+of resident memory in every process, pool workers included).
 """
 
 import math
@@ -26,7 +30,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special import bessel_k0e, erfc
 from .streams import substream
 
 # the sign-flip bound's hypothesis: ||h|| < (sqrt(2)-1)/sqrt(2) * ||x||
@@ -82,6 +85,8 @@ def product_magnitude_density(x_val, rho):
              + e^{-rho x/(1-rho^2)}) K0(x/(1-rho^2)),
     evaluated through the scaled Bessel so large rho x does not overflow.
     """
+    from scipy.special import k0e
+
     x_val = float(x_val)
     rho = float(rho)
     if x_val <= 0:
@@ -91,7 +96,7 @@ def product_magnitude_density(x_val, rho):
     q = 1.0 - rho * rho
     s = x_val / q
     scaled = math.exp((rho - 1.0) * s) + math.exp((-rho - 1.0) * s)
-    return scaled * bessel_k0e(s) / (math.pi * math.sqrt(q))
+    return scaled * float(k0e(s)) / (math.pi * math.sqrt(q))
 
 
 def sign_flip_bound(t, norm_x, norm_h):
@@ -101,6 +106,8 @@ def sign_flip_bound(t, norm_x, norm_h):
     |a^T x| ~ sqrt(t)-scaled magnitude sees x and z = x + h with opposite
     signs.  Valid only in the regime ||h|| < (sqrt(2)-1)/sqrt(2) ||x||.
     """
+    from scipy.special import erfc
+
     if t <= 0:
         raise ValueError("t must be positive")
     if norm_x <= 0 or norm_h <= 0:
@@ -108,7 +115,7 @@ def sign_flip_bound(t, norm_x, norm_h):
     if norm_h >= SIGN_FLIP_MAX_RATIO * norm_x:
         raise ValueError("outside the sign-agreement regime: require "
                          "norm_h < (sqrt(2)-1)/sqrt(2) * norm_x")
-    return erfc(math.sqrt(t) * norm_x / (2.0 * norm_h))
+    return float(erfc(math.sqrt(t) * norm_x / (2.0 * norm_h)))
 
 
 def monte_carlo_expected_rwf_loss(state, samples, seed):

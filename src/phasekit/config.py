@@ -71,14 +71,13 @@ class ExperimentConfig:
             raise ConfigError("unknown model %r" % self.model)
         if self.n < 1:
             raise ConfigError("n must be >= 1")
-        # the spectral init's optimal preprocessing needs m > n
-        if not self.m_over_n or any(round(r * self.n) <= self.n for r in self.m_over_n):
-            raise ConfigError("every m_over_n must give m > n")
         if not self.masks or any(L < 2 for L in self.masks):
             raise ConfigError("every mask count must be >= 2")
+        # the spectral init's optimal preprocessing needs m > n
+        if not self.m_over_n or any(m <= self.n for _, m in self.sweep()):
+            raise ConfigError("every m_over_n must give m > n")
         if not self.algorithms:
             raise ConfigError("need at least one algorithm")
-        self._validate_solvers()
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
         if self.success_tol <= 0:
@@ -98,6 +97,9 @@ class ExperimentConfig:
             raise ConfigError("loss-surface grids need rho_grid >= 2, normz_grid >= 1")
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
+        # last, so that a bad success_tol or iteration_budget is reported
+        # under its own name, not as the SolverConfig field it becomes
+        self._validate_solvers()
         return self
 
     def _validate_solvers(self):
@@ -106,23 +108,35 @@ class ExperimentConfig:
         image demo's n comes from the image; it gets the size-free checks."""
         if self.experiment == "image_demo":
             sizes = [(None, None)]
-        elif self.model == "cdp":
-            sizes = [(self.n * int(L), self.n) for L in self.masks]
         else:
-            sizes = [(int(round(r * self.n)), self.n) for r in self.m_over_n]
+            sizes = [(m, self.n) for _, m in self.sweep()]
         for alg in self.algorithms:
-            solver = SolverConfig(
-                algorithm=alg,
-                mu=self.mu,
-                rho0=self.rho0,
-                minibatch_k=self.minibatch_k,
-                record_every=self.record_every,
-            )
+            solver = self.solver_config(alg)
             for m, n in sizes:
                 try:
                     solver.validate(m, n)
                 except ValueError as exc:
                     raise ConfigError("%s: %s" % (alg, exc)) from exc
+
+    def sweep(self):
+        """The swept sizes as [(size value, m), ...]: mask counts L with
+        m = n L for model 'cdp', m/n ratios r with m = round(r n) otherwise."""
+        if self.model == "cdp":
+            return [(L, self.n * int(L)) for L in self.masks]
+        return [(r, int(round(r * self.n))) for r in self.m_over_n]
+
+    def solver_config(self, algorithm, seed=0):
+        """The SolverConfig every driver runs `algorithm` with."""
+        return SolverConfig(
+            algorithm=algorithm,
+            mu=self.mu,
+            rho0=self.rho0,
+            minibatch_k=self.minibatch_k,
+            max_passes=self.iteration_budget,
+            tol=self.success_tol,
+            seed=seed,
+            record_every=self.record_every,
+        )
 
 
 _FIELDS = {f.name: f for f in fields(ExperimentConfig)}
@@ -174,8 +188,9 @@ def load_config(path=None, overrides=None):
 
     `overrides` holds already-typed values (CLI flags).  Every override
     applies; None unsets the field back to its built-in default (for mu,
-    unset).  Validation runs on the merged result; any problem raises
-    ConfigError.
+    unset).  The one exception is `experiment`: a file written for another
+    experiment is refused, not rerun as this one.  Validation runs on the
+    merged result; any problem raises ConfigError.
     """
     values = {}
     if path is not None:
@@ -189,6 +204,8 @@ def load_config(path=None, overrides=None):
     for key, val in (overrides or {}).items():
         if key not in _FIELDS:
             raise ConfigError("unknown config key %r" % key)
+        if key == "experiment" and key in values and values[key] != val:
+            raise ConfigError("config file is for experiment %r, not %r" % (values[key], val))
         values[key] = _FIELDS[key].default if val is None else val
     return ExperimentConfig(**values).validate()
 

@@ -20,22 +20,16 @@ COMPLEX = "complex"
 _TINY = np.finfo(np.float64).tiny  # smallest normal float64
 
 
-def as_signal(x, field=None):
+def as_signal(x):
     """Validate and return x as a 1-D float64/complex128 signal.
 
-    Rejects empty and non-finite input.  If `field` is given the signal is
-    cast to that field; casting complex data down to real is refused.
+    Complex input stays complex and anything else becomes float64.  Rejects
+    empty and non-finite input.
     """
     z = np.asarray(x)
     if z.ndim != 1 or z.size == 0:
         raise ValueError("signal must be a nonempty 1-D vector")
-    if field == COMPLEX:
-        z = z.astype(np.complex128, copy=False)
-    elif field == REAL:
-        if np.iscomplexobj(z):
-            raise ValueError("cannot cast complex signal to real field")
-        z = z.astype(np.float64, copy=False)
-    elif np.iscomplexobj(z):
+    if np.iscomplexobj(z):
         z = z.astype(np.complex128, copy=False)
     else:
         z = z.astype(np.float64, copy=False)

@@ -27,46 +27,25 @@ from .core import COMPLEX, REAL, best_phase, random_signal, relative_error
 from .pgm import read_pgm, write_pgm
 from .results import ResultTable, write_csv
 from .sensing import NoiseSpec, make_cdp, make_gaussian, measure
-from .solvers import RunTrace, SolverConfig, run
+from .solvers import RunTrace, run
 from .spectral import InitParams, spectral_initialize
 from .streams import derive_seed, substream
 
 TRACE_COLUMNS = ("trial_id", "algorithm", "n", "m", "pass_count", "relative_error", "loss")
-
-DEFAULT_OUTPUTS = {
-    "phase_transition": "phase_transition.csv",
-    "convergence_race": "convergence_race.csv",
-    "init_accuracy": "init_accuracy.csv",
-    "noise_sweep": "noise_sweep.csv",
-    "recover": "recover_trace.csv",
-    "image_demo": "image_demo_out",
-    "loss_surface": "loss_surface.csv",
-}
 
 
 def _model_field(model):
     return REAL if model == "real" else COMPLEX
 
 
-def _sweep_values(cfg):
-    """The swept size parameter: m/n ratios, or mask counts for CDP."""
-    return cfg.masks if cfg.model == "cdp" else cfg.m_over_n
-
-
-def _m_of(cfg, value):
-    if cfg.model == "cdp":
-        return cfg.n * int(value)
-    return int(round(value * cfg.n))
-
-
-def make_instance(model, n, size_value, seed, labels):
-    """Fresh (x, ensemble) for one trial, keyed by (seed, *labels)."""
+def make_instance(model, n, m, seed, labels):
+    """Fresh (x, ensemble) with m measurements for one trial, keyed by
+    (seed, *labels); a CDP ensemble gets m // n masks."""
     field = _model_field(model)
     x = random_signal(n, field, substream(seed, "signal", *labels))
     if model == "cdp":
-        A = make_cdp(n, int(size_value), derive_seed(seed, "ensemble", *labels))
+        A = make_cdp(n, m // n, derive_seed(seed, "ensemble", *labels))
     else:
-        m = int(round(size_value * n))
         A = make_gaussian(n, m, field, derive_seed(seed, "ensemble", *labels))
     return x, A
 
@@ -84,36 +63,24 @@ def _noise_spec(cfg, x, labels, level=None):
     return NoiseSpec("bounded", level=float(rel) * float(np.linalg.norm(x)), seed=seed)
 
 
-def _solver_cfg(cfg, algorithm, labels):
-    return SolverConfig(
-        algorithm=algorithm,
-        mu=cfg.mu,
-        rho0=cfg.rho0,
-        minibatch_k=cfg.minibatch_k,
-        max_passes=cfg.iteration_budget,
-        tol=cfg.success_tol,
-        seed=derive_seed(cfg.seed, "solver", algorithm, *labels),
-        record_every=cfg.record_every,
-    )
-
-
 def _init_for(cfg, y, A, labels):
     return spectral_initialize(y, A, InitParams(), seed=derive_seed(cfg.seed, "init", *labels))
 
 
-def _trial(cfg, labels, value, algorithms, level=None):
+def _trial(cfg, labels, m, algorithms, level=None):
     """One trial: instance, measurements, spectral init, then each solve.
 
     Every algorithm starts from the same init.  Returns (x, A, init,
     [(algorithm, trace, solve_seconds), ...]) in the order of `algorithms`.
     """
-    x, A = make_instance(cfg.model, cfg.n, value, cfg.seed, labels)
+    x, A = make_instance(cfg.model, cfg.n, m, cfg.seed, labels)
     y = measure(A, x, _noise_spec(cfg, x, labels, level=level))
     init = _init_for(cfg, y, A, labels)
     solved = []
     for alg in algorithms:
         t0 = time.perf_counter()
-        trace = run(y, A, init.z0, _solver_cfg(cfg, alg, labels), x_opt=x)
+        solver = cfg.solver_config(alg, derive_seed(cfg.seed, "solver", alg, *labels))
+        trace = run(y, A, init.z0, solver, x_opt=x)
         solved.append((alg, trace, time.perf_counter() - t0))
     return x, A, init, solved
 
@@ -121,28 +88,28 @@ def _trial(cfg, labels, value, algorithms, level=None):
 def _outcome(args):
     """Pool worker for every pooled driver: one trial's init relative error
     and {algorithm: (final error, passes used, solve seconds)}."""
-    cfg, labels, value, level, algorithms = args
-    x, _, init, solved = _trial(cfg, labels, value, algorithms, level)
+    cfg, labels, m, level, algorithms = args
+    x, _, init, solved = _trial(cfg, labels, m, algorithms, level)
     outcomes = {alg: (trace.final_error(), trace.passes_used, secs) for alg, trace, secs in solved}
     return relative_error(init.z0, x), outcomes
 
 
-def _map_trials(worker, args, jobs):
+def _map_trials(args, jobs):
     if jobs <= 1:
-        return [worker(a) for a in args]
+        return [_outcome(a) for a in args]
     with ProcessPoolExecutor(max_workers=jobs) as ex:
-        return list(ex.map(worker, args, chunksize=1))
+        return list(ex.map(_outcome, args, chunksize=1))
 
 
 def _grid(cfg, tag, points, algorithms):
-    """_outcome of cfg.trials trials at each (size value, noise level) point,
+    """_outcome of cfg.trials trials at each (m, noise level) point,
     labelled (tag, point index, trial); returns one list per point."""
     args = [
-        (cfg, (tag, i, t), value, level, algorithms)
-        for i, (value, level) in enumerate(points)
+        (cfg, (tag, i, t), m, level, algorithms)
+        for i, (m, level) in enumerate(points)
         for t in range(cfg.trials)
     ]
-    out = _map_trials(_outcome, args, cfg.jobs)
+    out = _map_trials(args, cfg.jobs)
     return [out[i * cfg.trials : (i + 1) * cfg.trials] for i in range(len(points))]
 
 
@@ -162,17 +129,17 @@ def run_phase_transition(cfg):
     cfg.success_tol within cfg.iteration_budget passes.  Fresh signal,
     ensemble, and initialization per trial; all algorithms share them.
     """
-    values = _sweep_values(cfg)
-    grid = _grid(cfg, "pt", [(value, None) for value in values], cfg.algorithms)
+    ms = [m for _, m in cfg.sweep()]
+    grid = _grid(cfg, "pt", [(m, None) for m in ms], cfg.algorithms)
     rows = []
     for alg in cfg.algorithms:
-        for value, outcomes in zip(values, grid):
+        for m, outcomes in zip(ms, grid):
             succ = sum(1 for _, solved in outcomes if solved[alg][0] <= cfg.success_tol)
             rows.append(
                 {
                     "algorithm": alg,
                     "n": cfg.n,
-                    "m": _m_of(cfg, value),
+                    "m": m,
                     "successes": succ,
                     "trials": cfg.trials,
                     "success_rate": succ / cfg.trials,
@@ -191,10 +158,9 @@ def run_convergence_race(cfg):
     starts from the same point.  Budget-limited runs contribute their full
     pass budget to the mean.
     """
-    value = _sweep_values(cfg)[0]
-    args = [(cfg, ("race", t), value, None, cfg.algorithms) for t in range(cfg.trials)]
-    results = _map_trials(_outcome, args, cfg.jobs)
-    m = _m_of(cfg, value)
+    _, m = cfg.sweep()[0]
+    args = [(cfg, ("race", t), m, None, cfg.algorithms) for t in range(cfg.trials)]
+    results = _map_trials(args, cfg.jobs)
     rows = []
     for alg in cfg.algorithms:
         passes = [solved[alg][1] for _, solved in results]
@@ -216,15 +182,15 @@ def run_convergence_race(cfg):
 
 def run_init_accuracy(cfg):
     """Median and quartiles of the spectral-init error per sample size."""
-    values = _sweep_values(cfg)
-    grid = _grid(cfg, "ia", [(value, None) for value in values], ())
+    ms = [m for _, m in cfg.sweep()]
+    grid = _grid(cfg, "ia", [(m, None) for m in ms], ())
     rows = []
-    for value, outcomes in zip(values, grid):
+    for m, outcomes in zip(ms, grid):
         block = np.array([init_err for init_err, _ in outcomes])
         rows.append(
             {
                 "n": cfg.n,
-                "m": _m_of(cfg, value),
+                "m": m,
                 "median_err": float(np.median(block)),
                 "q25": float(np.percentile(block, 25)),
                 "q75": float(np.percentile(block, 75)),
@@ -244,8 +210,8 @@ def run_noise_sweep(cfg):
     the same column.  noise_kind 'none' degenerates to one clean level 0.
     """
     levels = (0.0,) if cfg.noise_kind == "none" else cfg.alphas
-    value = _sweep_values(cfg)[0]
-    grid = _grid(cfg, "ns", [(value, level) for level in levels], cfg.algorithms)
+    _, m = cfg.sweep()[0]
+    grid = _grid(cfg, "ns", [(m, level) for level in levels], cfg.algorithms)
     rows = []
     for alg in cfg.algorithms:
         for level, outcomes in zip(levels, grid):
@@ -282,9 +248,9 @@ def trace_rows(trace, trial_id, algorithm, n, m):
 def run_recover(cfg):
     """Full per-pass traces for each (trial, algorithm)."""
     rows = []
-    value = _sweep_values(cfg)[0]
+    _, m = cfg.sweep()[0]
     for trial in range(cfg.trials):
-        _, A, _, solved = _trial(cfg, ("recover", trial), value, cfg.algorithms)
+        _, A, _, solved = _trial(cfg, ("recover", trial), m, cfg.algorithms)
         for alg, trace, _ in solved:
             rows.extend(trace_rows(trace, trial, alg, cfg.n, A.m))
     return _table(cfg, TRACE_COLUMNS, rows)
@@ -310,7 +276,7 @@ def run_image_demo(cfg):
     cfg.output_path (a directory).  An all-zero image short-circuits to an
     all-zero recovery with zero passes; there is nothing to initialize.
     """
-    out_dir = cfg.output_path or DEFAULT_OUTPUTS["image_demo"]
+    out_dir = cfg.output_path or DRIVERS["image_demo"][1]
     os.makedirs(out_dir, exist_ok=True)
     if cfg.image_path:
         img, maxval = read_pgm(cfg.image_path)
@@ -324,11 +290,12 @@ def run_image_demo(cfg):
 
     xc = x.astype(np.complex128)
     labels = ("image",)
+    A = make_cdp(n, L, derive_seed(cfg.seed, "ensemble", *labels))
     if np.any(x):
-        A = make_cdp(n, L, derive_seed(cfg.seed, "ensemble", *labels))
         y = measure(A, x, _noise_spec(cfg, x, labels))
         init = _init_for(cfg, y, A, labels)
-        trace = run(y, A, init.z0, _solver_cfg(cfg, alg, labels), x_opt=xc)
+        solver = cfg.solver_config(alg, derive_seed(cfg.seed, "solver", alg, *labels))
+        trace = run(y, A, init.z0, solver, x_opt=xc)
     else:
         # nothing to initialize: the zero image is recovered at pass 0
         trace = RunTrace(
@@ -339,7 +306,7 @@ def run_image_demo(cfg):
     pixels = np.clip(np.rint(aligned * maxval), 0, maxval).reshape(h, w)
     write_pgm(os.path.join(out_dir, "recovered.pgm"), pixels, maxval)
     write_csv(
-        _table(cfg, TRACE_COLUMNS, trace_rows(trace, 0, alg, n, n * L)),
+        _table(cfg, TRACE_COLUMNS, trace_rows(trace, 0, alg, n, A.m)),
         os.path.join(out_dir, "trace.csv"),
     )
     passes = trace.passes_to(cfg.success_tol)
@@ -372,14 +339,15 @@ def run_loss_surface(cfg):
     return _table(cfg, ("rho", "norm_z", "expected_rwf_loss", "expected_wf_loss"), rows)
 
 
-RUNNERS = {
-    "phase_transition": run_phase_transition,
-    "convergence_race": run_convergence_race,
-    "init_accuracy": run_init_accuracy,
-    "noise_sweep": run_noise_sweep,
-    "recover": run_recover,
-    "image_demo": run_image_demo,
-    "loss_surface": run_loss_surface,
+# experiment -> (driver, default output path)
+DRIVERS = {
+    "phase_transition": (run_phase_transition, "phase_transition.csv"),
+    "convergence_race": (run_convergence_race, "convergence_race.csv"),
+    "init_accuracy": (run_init_accuracy, "init_accuracy.csv"),
+    "noise_sweep": (run_noise_sweep, "noise_sweep.csv"),
+    "recover": (run_recover, "recover_trace.csv"),
+    "image_demo": (run_image_demo, "image_demo_out"),
+    "loss_surface": (run_loss_surface, "loss_surface.csv"),
 }
 
 
@@ -389,8 +357,9 @@ def execute(cfg):
     Returns (table, output_path).  The image demo manages its own output
     directory; every other experiment writes a single CSV file.
     """
-    table = RUNNERS[cfg.experiment](cfg)
-    path = cfg.output_path or DEFAULT_OUTPUTS[cfg.experiment]
+    driver, default_path = DRIVERS[cfg.experiment]
+    table = driver(cfg)
+    path = cfg.output_path or default_path
     if cfg.experiment != "image_demo":
         write_csv(table, path)
     return table, path

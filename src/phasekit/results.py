@@ -38,15 +38,14 @@ def format_value(v):
     return str(v)
 
 
-def write_csv(table, path, include_timestamp=True):
+def write_csv(table, path):
     parent = os.path.dirname(os.path.abspath(path))
     os.makedirs(parent, exist_ok=True)
     lines = []
     for k, v in table.metadata.items():
         lines.append("# %s = %s" % (k, format_value(v)))
-    if include_timestamp:
-        stamp = datetime.now(timezone.utc).isoformat()
-        lines.append("# %s = %s" % (TIMESTAMP_KEY, stamp))
+    stamp = datetime.now(timezone.utc).isoformat()
+    lines.append("# %s = %s" % (TIMESTAMP_KEY, stamp))
     lines.append(",".join(table.columns))
     for row in table.rows:
         lines.append(",".join(format_value(row[c]) for c in table.columns))

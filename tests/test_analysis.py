@@ -6,11 +6,16 @@ of the |uv| density (a K0 route integrated by scipy), and by Monte Carlo.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.integrate
 
+import phasekit
 from phasekit.analysis import (
     CorrelationState,
     abs_product_moment,
@@ -221,3 +226,26 @@ def test_loss_surface_rows_accounting():
     s = CorrelationState(0.0, norm_x=1.0, norm_z=1.2)
     assert r["expected_rwf_loss"] == expected_rwf_loss(s)
     assert r["expected_wf_loss"] == expected_wf_loss(s)
+
+
+_LAZY_IMPORT_CHECK = """
+import math, sys
+import phasekit
+assert "scipy.special" not in sys.modules, "import phasekit loaded scipy.special"
+from phasekit.analysis import product_magnitude_density, sign_flip_bound
+got = (product_magnitude_density(1.0, 0.0).hex(), sign_flip_bound(1.0, 1.0, 0.25).hex())
+assert "scipy.special" in sys.modules, "the first call did not load scipy.special"
+import scipy.special
+want = (2.0 * math.exp(-1.0) * float(scipy.special.k0e(1.0)) / math.pi,
+        float(scipy.special.erfc(2.0)))
+assert got == tuple(w.hex() for w in want), got
+"""
+
+
+def test_import_leaves_scipy_special_unloaded_until_first_call():
+    # a fresh interpreter, since this one has scipy.special loaded already
+    src = str(Path(phasekit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", _LAZY_IMPORT_CHECK], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

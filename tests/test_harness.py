@@ -6,6 +6,7 @@ values can be compared exactly across reruns and worker counts.
 """
 
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -96,6 +97,24 @@ def test_load_config_unknown_override():
         load_config(None, overrides={"bogus": 1})
 
 
+@pytest.mark.parametrize("path", sorted(Path(__file__).resolve().parents[1].glob("configs/*.cfg")),
+                         ids=lambda p: p.name)
+def test_canned_configs_load(path):
+    cfg = load_config(str(path))
+    assert cfg.experiment == parse_config_text(path.read_text())["experiment"]
+
+
+def test_sweep_and_solver_config():
+    cfg = ExperimentConfig(n=10, m_over_n=(2.0, 2.46), masks=(3, 4), iteration_budget=7,
+                           success_tol=1e-3, mu=0.5, rho0=2.0, minibatch_k=5, record_every=3)
+    assert cfg.sweep() == [(2.0, 20), (2.46, 25)]
+    cfg.model = "cdp"
+    assert cfg.sweep() == [(3, 30), (4, 40)]
+    solver = cfg.solver_config("irwf", seed=9)
+    assert (solver.algorithm, solver.mu, solver.rho0, solver.minibatch_k) == ("irwf", 0.5, 2.0, 5)
+    assert (solver.max_passes, solver.tol, solver.seed, solver.record_every) == (7, 1e-3, 9, 3)
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [
@@ -172,10 +191,16 @@ def test_csv_round_trip(tmp_path):
 
 
 def test_csv_fingerprint_drops_timestamp(tmp_path):
-    a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
-    write_csv(_demo_table(), a, include_timestamp=True)
-    write_csv(_demo_table(), b, include_timestamp=False)
-    assert csv_fingerprint(a) == csv_fingerprint(b)
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    write_csv(_demo_table(), str(a))
+    write_csv(_demo_table(), str(b))
+    lines = b.read_text().splitlines(keepends=True)
+    stamped = [i for i, ln in enumerate(lines) if ln.startswith("# timestamp = ")]
+    assert len(stamped) == 1
+    lines[stamped[0]] = "# timestamp = 1970-01-01T00:00:00+00:00\n"
+    b.write_text("".join(lines))
+    assert a.read_bytes() != b.read_bytes()
+    assert csv_fingerprint(str(a)) == csv_fingerprint(str(b))
 
 
 def test_csv_fingerprint_masks_columns(tmp_path):
@@ -263,9 +288,9 @@ def test_pgm_read_honors_comments(tmp_path):
 
 
 def test_make_instance_deterministic():
-    x1, A1 = make_instance("real", 10, 4.0, 7, ("t", 0))
-    x2, A2 = make_instance("real", 10, 4.0, 7, ("t", 0))
-    x3, _ = make_instance("real", 10, 4.0, 7, ("t", 1))
+    x1, A1 = make_instance("real", 10, 40, 7, ("t", 0))
+    x2, A2 = make_instance("real", 10, 40, 7, ("t", 0))
+    x3, _ = make_instance("real", 10, 40, 7, ("t", 1))
     assert np.array_equal(x1, x2)
     assert np.array_equal(A1.materialize(), A2.materialize())
     assert not np.array_equal(x1, x3)
@@ -599,6 +624,22 @@ def test_cli_mu_none_unsets_config_mu(tmp_path):
 
 def test_cli_absent_flag_keeps_config_mu(tmp_path):
     assert _recover_with_mu(tmp_path, []) == "0.5"
+
+
+def test_cli_config_for_another_experiment_exits_1(tmp_path, capsys):
+    cfgfile = tmp_path / "pt.cfg"
+    out = tmp_path / "pt_out.csv"
+    cfgfile.write_text(
+        "experiment = phase_transition\nn = 10\nm_over_n = 5\ntrials = 1\n"
+        "iteration_budget = 10\noutput_path = %s\n" % out
+    )
+    assert main(["converge", "--config", str(cfgfile)]) == 1
+    assert not out.exists()
+    assert "phase_transition" in capsys.readouterr().err
+    # a matching experiment line, or none, is fine
+    assert load_config(str(cfgfile), {"experiment": "phase_transition"}).output_path == str(out)
+    cfgfile.write_text("output_path = %s\n" % out)
+    assert load_config(str(cfgfile), {"experiment": "convergence_race"}).output_path == str(out)
 
 
 def test_cli_missing_config_exits_1(tmp_path, capsys):
