@@ -2,9 +2,8 @@
 
     phasekit <command> [--config FILE] [flags...]
 
-Commands: phase-transition, converge, init-accuracy, noise-sweep, recover,
-image-demo, loss-surface.  Flags override config-file values, which
-override the built-in defaults.
+`phasekit --help` lists the commands, one per experiment.  Flags override
+config-file values, which override the built-in defaults.
 
 Exit codes: 0 success, 1 configuration error (unknown flag/key, bad value,
 unreadable config), 2 runtime failure during the experiment.
@@ -16,18 +15,7 @@ from dataclasses import fields
 
 from ._version import __version__
 from .config import MODELS, NOISE_KINDS, ConfigError, ExperimentConfig, coerce_value, load_config
-from .experiments import execute
-
-# command -> (experiment, description)
-COMMANDS = {
-    "phase-transition": ("phase_transition", "success rate vs number of measurements"),
-    "converge": ("convergence_race", "mean passes to a target error, shared initialization"),
-    "init-accuracy": ("init_accuracy", "spectral initialization error vs sample size"),
-    "noise-sweep": ("noise_sweep", "final error vs noise level"),
-    "recover": ("recover", "single recovery runs with full per-pass traces"),
-    "image-demo": ("image_demo", "recover a small grayscale image through CDP masks"),
-    "loss-surface": ("loss_surface", "expected amplitude/intensity loss grid dump"),
-}
+from .experiments import EXPERIMENTS, execute
 
 # (flag, config field, help) for the flags every command takes
 _COMMON_FLAGS = (
@@ -105,10 +93,10 @@ def build_parser():
     common.add_argument("--config", metavar="FILE", help="flat key = value config file")
     _add_flags(common, _COMMON_FLAGS)
 
-    for name, (tag, text) in COMMANDS.items():
-        sp = sub.add_parser(name, parents=[common], help=text, description=text)
-        sp.set_defaults(experiment=tag)
-        _add_flags(sp, _COMMAND_FLAGS.get(name, ()))
+    for experiment, (command, _, _, text) in EXPERIMENTS.items():
+        sp = sub.add_parser(command, parents=[common], help=text, description=text)
+        sp.set_defaults(experiment=experiment)
+        _add_flags(sp, _COMMAND_FLAGS.get(command, ()))
     return parser
 
 

@@ -18,17 +18,8 @@ loudly before any computation starts.
 import math
 from dataclasses import dataclass, fields
 
+from .experiments import EXPERIMENTS
 from .solvers import SolverConfig
-
-EXPERIMENTS = (
-    "phase_transition",
-    "convergence_race",
-    "init_accuracy",
-    "noise_sweep",
-    "recover",
-    "image_demo",
-    "loss_surface",
-)
 
 MODELS = ("real", "complex", "cdp")
 
@@ -73,20 +64,24 @@ class ExperimentConfig:
             raise ConfigError("n must be >= 1")
         if not self.masks or any(L < 2 for L in self.masks):
             raise ConfigError("every mask count must be >= 2")
+        if not self.m_over_n or not all(math.isfinite(r * self.n) for r in self.m_over_n):
+            raise ConfigError("every m_over_n must give a finite m")
+        # the swept (m, n); none for the image demo, whose n comes from the image
+        sizes = [] if self.experiment == "image_demo" else [(m, self.n) for _, m in self.sweep()]
         # the spectral init's optimal preprocessing needs m > n
-        if not self.m_over_n or any(m <= self.n for _, m in self.sweep()):
+        if any(m <= n for m, n in sizes):
             raise ConfigError("every m_over_n must give m > n")
         if not self.algorithms:
             raise ConfigError("need at least one algorithm")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
-        if self.success_tol <= 0:
-            raise ConfigError("success_tol must be positive")
+        # the negated range tests also reject NaN
+        if not 0 < self.success_tol < math.inf:
+            raise ConfigError("success_tol must be positive and finite")
         if self.iteration_budget < 0:
             raise ConfigError("iteration_budget must be >= 0")
         if self.noise_kind not in NOISE_KINDS:
             raise ConfigError("unknown noise kind %r" % self.noise_kind)
-        # the negated tests also reject NaN
         if not 0 <= self.noise_level < math.inf:
             raise ConfigError("noise_level must be finite and >= 0")
         if not self.alphas or not all(0 < a < math.inf for a in self.alphas):
@@ -97,26 +92,19 @@ class ExperimentConfig:
             raise ConfigError("loss-surface grids need rho_grid >= 2, normz_grid >= 1")
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
-        # last, so that a bad success_tol or iteration_budget is reported
-        # under its own name, not as the SolverConfig field it becomes
-        self._validate_solvers()
-        return self
-
-    def _validate_solvers(self):
-        """SolverConfig's own checks for each algorithm at each swept size
-        (m, n), so that a bad block size fails before any computation.  The
-        image demo's n comes from the image; it gets the size-free checks."""
-        if self.experiment == "image_demo":
-            sizes = [(None, None)]
-        else:
-            sizes = [(m, self.n) for _, m in self.sweep()]
+        # SolverConfig's own checks for each algorithm at each swept size, so
+        # that a bad block size fails before any computation; without sizes,
+        # the size-free checks.  Last, so that a bad success_tol or
+        # iteration_budget is reported under its own name, not as the
+        # SolverConfig field it becomes.
         for alg in self.algorithms:
             solver = self.solver_config(alg)
-            for m, n in sizes:
+            for m, n in sizes or [(None, None)]:
                 try:
                     solver.validate(m, n)
                 except ValueError as exc:
                     raise ConfigError("%s: %s" % (alg, exc)) from exc
+        return self
 
     def sweep(self):
         """The swept sizes as [(size value, m), ...]: mask counts L with
@@ -208,14 +196,3 @@ def load_config(path=None, overrides=None):
             raise ConfigError("config file is for experiment %r, not %r" % (values[key], val))
         values[key] = _FIELDS[key].default if val is None else val
     return ExperimentConfig(**values).validate()
-
-
-def config_echo(cfg):
-    """Ordered {field: value} mapping for CSV metadata lines."""
-    out = {}
-    for f in fields(ExperimentConfig):
-        v = getattr(cfg, f.name)
-        if isinstance(v, tuple):
-            v = ", ".join(str(x) for x in v)
-        out[f.name] = v
-    return out

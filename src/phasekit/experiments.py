@@ -17,12 +17,12 @@ sweep order either way.
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import fields
 
 import numpy as np
 
 from ._version import __version__
 from .analysis import loss_surface_rows
-from .config import config_echo
 from .core import COMPLEX, REAL, best_phase, random_signal, relative_error
 from .pgm import read_pgm, write_pgm
 from .results import ResultTable, write_csv
@@ -95,9 +95,11 @@ def _outcome(args):
 
 
 def _map_trials(args, jobs):
-    if jobs <= 1:
+    # the pool starts all its workers at once, so never more than the trials
+    workers = min(jobs, len(args))
+    if workers <= 1:
         return [_outcome(a) for a in args]
-    with ProcessPoolExecutor(max_workers=jobs) as ex:
+    with ProcessPoolExecutor(max_workers=workers) as ex:
         return list(ex.map(_outcome, args, chunksize=1))
 
 
@@ -113,8 +115,19 @@ def _grid(cfg, tag, points, algorithms):
     return [out[i * cfg.trials : (i + 1) * cfg.trials] for i in range(len(points))]
 
 
+def config_echo(cfg):
+    """Ordered {field: value} mapping for CSV metadata lines."""
+    out = {}
+    for f in fields(cfg):
+        v = getattr(cfg, f.name)
+        if isinstance(v, tuple):
+            v = ", ".join(str(x) for x in v)
+        out[f.name] = v
+    return out
+
+
 def _table(cfg, columns, rows):
-    meta = dict(config_echo(cfg))
+    meta = config_echo(cfg)
     meta["phasekit_version"] = __version__
     return ResultTable(columns=tuple(columns), rows=rows, metadata=meta)
 
@@ -276,7 +289,7 @@ def run_image_demo(cfg):
     cfg.output_path (a directory).  An all-zero image short-circuits to an
     all-zero recovery with zero passes; there is nothing to initialize.
     """
-    out_dir = cfg.output_path or DRIVERS["image_demo"][1]
+    out_dir = cfg.output_path or EXPERIMENTS["image_demo"][2]
     os.makedirs(out_dir, exist_ok=True)
     if cfg.image_path:
         img, maxval = read_pgm(cfg.image_path)
@@ -339,15 +352,22 @@ def run_loss_surface(cfg):
     return _table(cfg, ("rho", "norm_z", "expected_rwf_loss", "expected_wf_loss"), rows)
 
 
-# experiment -> (driver, default output path)
-DRIVERS = {
-    "phase_transition": (run_phase_transition, "phase_transition.csv"),
-    "convergence_race": (run_convergence_race, "convergence_race.csv"),
-    "init_accuracy": (run_init_accuracy, "init_accuracy.csv"),
-    "noise_sweep": (run_noise_sweep, "noise_sweep.csv"),
-    "recover": (run_recover, "recover_trace.csv"),
-    "image_demo": (run_image_demo, "image_demo_out"),
-    "loss_surface": (run_loss_surface, "loss_surface.csv"),
+# experiment -> (CLI command, driver, default output path, description)
+EXPERIMENTS = {
+    "phase_transition": ("phase-transition", run_phase_transition, "phase_transition.csv",
+                         "success rate vs number of measurements"),
+    "convergence_race": ("converge", run_convergence_race, "convergence_race.csv",
+                         "mean passes to a target error, shared initialization"),
+    "init_accuracy": ("init-accuracy", run_init_accuracy, "init_accuracy.csv",
+                      "spectral initialization error vs sample size"),
+    "noise_sweep": ("noise-sweep", run_noise_sweep, "noise_sweep.csv",
+                    "final error vs noise level"),
+    "recover": ("recover", run_recover, "recover_trace.csv",
+                "single recovery runs with full per-pass traces"),
+    "image_demo": ("image-demo", run_image_demo, "image_demo_out",
+                   "recover a small grayscale image through CDP masks"),
+    "loss_surface": ("loss-surface", run_loss_surface, "loss_surface.csv",
+                     "expected amplitude/intensity loss grid dump"),
 }
 
 
@@ -357,7 +377,7 @@ def execute(cfg):
     Returns (table, output_path).  The image demo manages its own output
     directory; every other experiment writes a single CSV file.
     """
-    driver, default_path = DRIVERS[cfg.experiment]
+    _, driver, default_path, _ = EXPERIMENTS[cfg.experiment]
     table = driver(cfg)
     path = cfg.output_path or default_path
     if cfg.experiment != "image_demo":

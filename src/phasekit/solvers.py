@@ -90,16 +90,17 @@ class SolverConfig:
     def validate(self, m=None, n=None):
         if self.algorithm not in ALGORITHMS:
             raise ValueError("unknown algorithm %r" % self.algorithm)
-        if self.mu is not None and self.mu <= 0:
-            raise ValueError("mu must be positive")
-        if self.rho0 <= 0:
-            raise ValueError("rho0 must be positive")
+        # the negated range tests also reject NaN
+        if self.mu is not None and not 0 < self.mu < math.inf:
+            raise ValueError("mu must be positive and finite")
+        if not 0 < self.rho0 < math.inf:
+            raise ValueError("rho0 must be positive and finite")
         if self.minibatch_k < 1:
             raise ValueError("minibatch_k must be >= 1")
         if self.max_passes < 0:
             raise ValueError("max_passes must be >= 0")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not 0 < self.tol < math.inf:
+            raise ValueError("tol must be positive and finite")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
         if m is not None and self.algorithm in ("minibatch_irwf", "block_kaczmarz_pr"):

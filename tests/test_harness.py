@@ -11,16 +11,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from phasekit.cli import main
+from phasekit import experiments
+from phasekit.cli import build_parser, main
 from phasekit.config import (
     ConfigError,
     ExperimentConfig,
     coerce_value,
-    config_echo,
     load_config,
     parse_config_text,
 )
 from phasekit.experiments import (
+    EXPERIMENTS,
+    config_echo,
     execute,
     make_instance,
     run_convergence_race,
@@ -146,11 +148,34 @@ def test_sweep_and_solver_config():
         {"noise_level": float("inf")},
         {"alphas": (float("nan"),)},
         {"alphas": (1.0, float("inf"))},
+        {"m_over_n": (float("nan"),)},
+        {"m_over_n": (float("inf"),)},
+        {"m_over_n": (2.0, float("nan"))},
+        {"success_tol": float("nan")},
+        {"success_tol": float("inf")},
+        {"mu": float("nan")},
+        {"mu": float("inf")},
+        {"rho0": float("nan")},
+        {"rho0": float("inf")},
     ],
 )
 def test_validate_rejects(kwargs):
     with pytest.raises(ConfigError):
         ExperimentConfig(**kwargs).validate()
+
+
+def test_experiment_table_drives_cli_and_validation():
+    for experiment, (command, _, _, _) in EXPERIMENTS.items():
+        assert build_parser().parse_args([command]).experiment == experiment
+        ExperimentConfig(experiment=experiment).validate()
+
+
+def test_image_demo_ignores_m_over_n():
+    # the demo's n comes from the image, so no m_over_n gives it m <= n
+    ExperimentConfig(experiment="image_demo", m_over_n=(1.0,)).validate()
+    with pytest.raises(ConfigError, match="minibatch_k"):
+        ExperimentConfig(experiment="image_demo", algorithms=("block_kaczmarz_pr",),
+                         minibatch_k=0).validate()
 
 
 def test_config_echo_flattens_tuples():
@@ -571,6 +596,32 @@ def test_parallel_trials_match_serial():
         assert rows(driver, kwargs, 1) == rows(driver, kwargs, 2), extra["experiment"]
 
 
+def test_pool_starts_no_more_workers_than_trials(monkeypatch):
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, args, chunksize=1):
+            return map(fn, args)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+    cfg = ExperimentConfig(experiment="convergence_race", n=8, m_over_n=(4.0,), trials=2,
+                           iteration_budget=5, jobs=64).validate()
+    run_convergence_race(cfg)
+    assert started == [2]
+    cfg.trials = 1
+    run_convergence_race(cfg)
+    assert started == [2]  # a single trial runs in this process
+
+
 # --- command line -----------------------------------------------------------
 
 
@@ -662,6 +713,14 @@ def test_cli_m_not_above_n_exits_1(tmp_path, capsys):
     assert main(["init-accuracy", "--m-over-n", "1", "--out", str(out)]) == 1
     assert not out.exists()
     assert "m_over_n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [["--m-over-n", "nan"], ["--mu", "nan"]])
+def test_cli_non_finite_value_exits_1(tmp_path, capsys, flags):
+    out = tmp_path / "never.csv"
+    assert main(["recover", "--n", "16", "--trials", "1", "--out", str(out)] + flags) == 1
+    assert not out.exists()
+    assert "phasekit: error:" in capsys.readouterr().err
 
 
 def test_cli_unknown_command_exits_1(capsys):

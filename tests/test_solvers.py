@@ -514,6 +514,10 @@ def test_run_validation_errors():
         run(y, A, x, SolverConfig(max_passes=-1))
     with pytest.raises(ValueError):
         run(y, A, x, SolverConfig(record_every=0))
+    for bad in ({"mu": np.nan}, {"mu": np.inf}, {"rho0": np.nan}, {"rho0": np.inf},
+                {"tol": np.nan}, {"tol": np.inf}):
+        with pytest.raises(ValueError, match="finite"):
+            run(y, A, x, SolverConfig(**bad))
     with pytest.raises(ValueError):
         run(y, A, x, SolverConfig(algorithm="minibatch_irwf", minibatch_k=19))
     with pytest.raises(ValueError):
