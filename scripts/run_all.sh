@@ -3,20 +3,22 @@
 # around ten minutes; pass config names (without .cfg) to run a subset:
 #
 #   scripts/run_all.sh phase_transition image_demo
+#
+# Each config's command is the CLI command of its `experiment`, read from
+# phasekit.experiments.EXPERIMENTS in the src/ beside this script.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-COMMAND_FOR() {
-    case "$1" in
-        phase_transition) echo phase-transition ;;
-        convergence_race_*) echo converge ;;
-        init_accuracy) echo init-accuracy ;;
-        noise_sweep_*) echo noise-sweep ;;
-        recover) echo recover ;;
-        image_demo) echo image-demo ;;
-        loss_surface) echo loss-surface ;;
-        *) echo "unknown config $1" >&2; exit 1 ;;
-    esac
+command_for() {
+    PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python3 -c '
+import sys
+from phasekit.config import ConfigError, load_config
+from phasekit.experiments import EXPERIMENTS
+try:
+    print(EXPERIMENTS[load_config(sys.argv[1]).experiment][0])
+except ConfigError as exc:
+    sys.exit("%s: %s" % (sys.argv[1], exc))
+' "$1"
 }
 
 if [ "$#" -gt 0 ]; then
@@ -30,7 +32,7 @@ else
 fi
 
 for name in "${names[@]}"; do
-    cmd=$(COMMAND_FOR "$name")
+    cmd=$(command_for "configs/$name.cfg")
     echo "== phasekit $cmd --config configs/$name.cfg"
     phasekit "$cmd" --config "configs/$name.cfg"
 done

@@ -6,6 +6,13 @@ incremental, minibatch) and Kaczmarz projection variants, with spectral
 initialization (optimal or truncated preprocessing), Gaussian and
 coded-diffraction sensing, a reproducible experiment harness, and
 closed-form expected-loss oracles.
+
+Importing phasekit loads numpy and the standard library only.  The
+functions that use scipy (its BLAS and LAPACK wrappers, eigsh, special
+functions) or the process pool import them on their first call, so a
+process that never calls them, `phasekit --help` for one, never loads
+them.  A pooled driver imports scipy in its parent before the pool
+forks, so the workers inherit it instead of each importing it again.
 """
 
 from ._version import __version__

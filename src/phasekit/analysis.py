@@ -20,9 +20,8 @@ erfc tail bound on the probability that a random row sees x and a nearby
 z with opposite signs, and a Monte Carlo estimator used to cross-check
 the closed form.
 
-The two functions that need scipy.special import it on their first call,
-not with this module, so `import phasekit` does not load it (about 3.5 MB
-of resident memory in every process, pool workers included).
+The density and the bound import scipy.special on their first call, by
+the package's import rule (see the phasekit docstring).
 """
 
 import math
@@ -44,19 +43,20 @@ class CorrelationState:
     norm_z: float = 1.0
 
     def __post_init__(self):
-        if abs(self.rho) > 1.0 + 1e-12:
+        # negated range tests, here and in the functions below, also reject NaN
+        if not abs(self.rho) <= 1.0 + 1e-12:
             raise ValueError("correlation must lie in [-1, 1]")
         object.__setattr__(self, "rho", float(min(1.0, max(-1.0, self.rho))))
-        if self.norm_x <= 0:
-            raise ValueError("norm_x must be positive")
-        if self.norm_z < 0:
-            raise ValueError("norm_z must be nonnegative")
+        if not 0 < self.norm_x < math.inf:
+            raise ValueError("norm_x must be positive and finite")
+        if not 0 <= self.norm_z < math.inf:
+            raise ValueError("norm_z must be nonnegative and finite")
 
 
 def abs_product_moment(rho):
     """E|uv| for a standard-normal pair with correlation rho."""
     rho = float(rho)
-    if abs(rho) > 1.0 + 1e-12:
+    if not abs(rho) <= 1.0 + 1e-12:
         raise ValueError("correlation must lie in [-1, 1]")
     rho = min(1.0, max(-1.0, rho))
     # (1-rho)(1+rho) keeps its relative accuracy where 1 - rho^2 cancels
@@ -89,10 +89,10 @@ def product_magnitude_density(x_val, rho):
 
     x_val = float(x_val)
     rho = float(rho)
-    if x_val <= 0:
+    if not x_val > 0:
         raise ValueError("density argument must be positive")
-    if abs(rho) >= 1:
-        raise ValueError("density is degenerate at |rho| = 1")
+    if not abs(rho) < 1:
+        raise ValueError("density needs |rho| < 1 (degenerate at |rho| = 1)")
     q = 1.0 - rho * rho
     s = x_val / q
     scaled = math.exp((rho - 1.0) * s) + math.exp((-rho - 1.0) * s)
@@ -108,11 +108,11 @@ def sign_flip_bound(t, norm_x, norm_h):
     """
     from scipy.special import erfc
 
-    if t <= 0:
+    if not t > 0:
         raise ValueError("t must be positive")
-    if norm_x <= 0 or norm_h <= 0:
+    if not (norm_x > 0 and norm_h > 0):
         raise ValueError("norms must be positive")
-    if norm_h >= SIGN_FLIP_MAX_RATIO * norm_x:
+    if not norm_h < SIGN_FLIP_MAX_RATIO * norm_x:
         raise ValueError("outside the sign-agreement regime: require "
                          "norm_h < (sqrt(2)-1)/sqrt(2) * norm_x")
     return float(erfc(math.sqrt(t) * norm_x / (2.0 * norm_h)))

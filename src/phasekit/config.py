@@ -92,6 +92,14 @@ class ExperimentConfig:
             raise ConfigError("loss-surface grids need rho_grid >= 2, normz_grid >= 1")
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
+        # the paths are echoed into the CSV metadata, where a line break
+        # would split the line and read_csv strips outer blanks
+        for name in ("output_path", "image_path"):
+            path = str(getattr(self, name))
+            if any(ch in path for ch in "\r\n"):
+                raise ConfigError("%s must not contain a line break" % name)
+            if path != path.strip():
+                raise ConfigError("%s must not start or end with a blank" % name)
         # SolverConfig's own checks for each algorithm at each swept size, so
         # that a bad block size fails before any computation; without sizes,
         # the size-free checks.  Last, so that a bad success_tol or

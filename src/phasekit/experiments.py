@@ -16,7 +16,6 @@ sweep order either way.
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields
 
 import numpy as np
@@ -99,6 +98,12 @@ def _map_trials(args, jobs):
     workers = min(jobs, len(args))
     if workers <= 1:
         return [_outcome(a) for a in args]
+    # loaded here so that the forked workers inherit them; otherwise every
+    # worker of every pool imports scipy again on its first trial
+    import scipy.linalg
+    import scipy.sparse.linalg
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as ex:
         return list(ex.map(_outcome, args, chunksize=1))
 

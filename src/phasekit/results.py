@@ -38,17 +38,44 @@ def format_value(v):
     return str(v)
 
 
+def _readable(text, what, forbidden, stripped=False):
+    """text, after checking that it holds none of the characters that
+    read_csv splits on at that place and, where read_csv strips the text
+    (stripped), no leading or trailing blank."""
+    if any(ch in text for ch in forbidden):
+        raise ValueError("%s %r cannot be read back: it holds one of %r" % (what, text, forbidden))
+    if stripped and text != text.strip():
+        raise ValueError("%s %r cannot be read back: read_csv strips its outer blanks" % (what, text))
+    return text
+
+
+def _data_line(cells, what):
+    line = ",".join(_readable(c, what, ",\r\n") for c in cells)
+    if not line or line.startswith("#"):
+        raise ValueError("%s line %r cannot be read back: read_csv skips it" % (what, line))
+    return line
+
+
 def write_csv(table, path):
-    parent = os.path.dirname(os.path.abspath(path))
-    os.makedirs(parent, exist_ok=True)
+    """Write table to path, replacing any file there.
+
+    Raises ValueError, before writing anything, for text that read_csv
+    would parse differently: a line break (CR or LF) anywhere, a comma in a
+    column name or cell, '=' in a metadata key, a leading or trailing blank
+    in a metadata key or value, or a header or row line that is empty or
+    starts with '#'.
+    """
     lines = []
     for k, v in table.metadata.items():
-        lines.append("# %s = %s" % (k, format_value(v)))
+        key = _readable(k, "metadata key", "=\r\n", stripped=True)
+        value = _readable(format_value(v), "metadata value", "\r\n", stripped=True)
+        lines.append("# %s = %s" % (key, value))
     stamp = datetime.now(timezone.utc).isoformat()
     lines.append("# %s = %s" % (TIMESTAMP_KEY, stamp))
-    lines.append(",".join(table.columns))
+    lines.append(_data_line(table.columns, "column"))
     for row in table.rows:
-        lines.append(",".join(format_value(row[c]) for c in table.columns))
+        lines.append(_data_line([format_value(row[c]) for c in table.columns], "cell"))
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve, get_blas_funcs, get_lapack_funcs
 
 from .core import (
     COMPLEX,
@@ -60,10 +59,6 @@ WF_STEP = 0.2
 
 DIVERGENCE_FACTOR = 1e6
 BLOCK_CONDITION_LIMIT = 1e12
-
-# the per-sample kernel's BLAS: dotc conjugates its first argument
-_DDOT, _DAXPY = get_blas_funcs(("dot", "axpy"), dtype=np.float64)
-_ZDOTC, _ZAXPY = get_blas_funcs(("dotc", "axpy"), dtype=np.complex128)
 
 
 @dataclass
@@ -169,7 +164,9 @@ def _sample_updates(z, idx, y, steps, row):
     f2py's argument parsing by about a fifth of a pass at n=256, m=2n."""
     n = z.shape[0]
     if np.iscomplexobj(z):
-        dot, axpy = _ZDOTC, _ZAXPY
+        # zdotc conjugates its first argument
+        from scipy.linalg.blas import zaxpy as axpy, zdotc as dot
+
         for i in idx:
             a = row(i)
             t = dot(a, z)
@@ -177,7 +174,8 @@ def _sample_updates(z, idx, y, steps, row):
             c = t - y[i] * (t / r if r > 0 else 0.0)
             z = axpy(a, z, n, -(c * steps[i]))
     else:
-        dot, axpy = _DDOT, _DAXPY
+        from scipy.linalg.blas import daxpy as axpy, ddot as dot
+
         for i in idx:
             a = row(i)
             t = dot(a, z)
@@ -214,6 +212,8 @@ def _block_projection(z, gamma, y, A):
     """z -= A_G^*(A_G A_G^*)^-1 (A_G z - y_G . ph(A_G z)), the dense block
     projection; gamma holds distinct in-range indices, at most n of them.
     Raises LinAlgError as block_kaczmarz_step documents."""
+    from scipy.linalg import cho_solve, get_lapack_funcs
+
     B = A.block_rows(gamma)  # rows a_i
     resid = _amplitude_residual(_block_apply(B, z), y[gamma])
     M = np.conj(B) if np.iscomplexobj(B) else B  # A_G

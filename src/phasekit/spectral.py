@@ -31,7 +31,6 @@ product v -> (1/m) A^*(T . (A v)).
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .core import COMPLEX, REAL
 from .streams import substream
@@ -151,6 +150,8 @@ def _top_eigenpair(A, w, v0):
     real Y the view is Y itself.  ARPACK's complex mode is avoided because
     with threaded BLAS it about doubles the cost of every product.
     """
+    from scipy.sparse.linalg import LinearOperator, eigsh
+
     n = A.n
     if n < 3:
         # tiny n: form the n x n matrix from n products and solve it densely

@@ -1,6 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
+
+import phasekit
 
 # numerical tests can be slow on loaded machines; never fail on wall time
 settings.register_profile(
@@ -33,3 +40,18 @@ def pytest_terminal_summary(terminalreporter):
 @pytest.fixture
 def rng():
     return np.random.default_rng(171)
+
+
+@pytest.fixture
+def fresh_python():
+    """Run code in a new interpreter that imports phasekit from this
+    checkout, for checks on what a first import or call loads; the test
+    fails with the code's stderr if it raises."""
+    env = dict(os.environ, PYTHONPATH=str(Path(phasekit.__file__).resolve().parents[1]))
+
+    def run(code):
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+
+    return run

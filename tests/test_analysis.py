@@ -6,16 +6,11 @@ of the |uv| density (a K0 route integrated by scipy), and by Monte Carlo.
 """
 
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.integrate
 
-import phasekit
 from phasekit.analysis import (
     CorrelationState,
     abs_product_moment,
@@ -91,6 +86,36 @@ def test_correlation_state_validation():
         CorrelationState(0.0, norm_z=-1.0)
     assert CorrelationState(0.0, norm_z=0.0).norm_z == 0.0
 
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: CorrelationState(NAN),
+        lambda: CorrelationState(0.0, norm_x=NAN),
+        lambda: CorrelationState(0.0, norm_z=NAN),
+        lambda: CorrelationState(0.0, norm_x=math.inf),
+        lambda: CorrelationState(0.0, norm_z=math.inf),
+        lambda: abs_product_moment(NAN),
+        lambda: loss_surface_rows([NAN], [1.0]),
+        lambda: loss_surface_rows([0.0], [NAN]),
+        lambda: loss_surface_rows([0.0], [1.0], norm_x=NAN),
+        lambda: product_magnitude_density(NAN, 0.5),
+        lambda: product_magnitude_density(1.0, NAN),
+        lambda: sign_flip_bound(NAN, 1.0, 0.1),
+        lambda: sign_flip_bound(0.1, NAN, 0.1),
+        lambda: sign_flip_bound(0.1, 1.0, NAN),
+    ],
+    ids=["rho", "norm_x", "norm_z", "inf-norm_x", "inf-norm_z", "moment", "surface-rho",
+         "surface-norm_z", "surface-norm_x", "density-x", "density-rho", "bound-t",
+         "bound-norm_x", "bound-norm_h"],
+)
+def test_nan_arguments_raise(call):
+    # NaN fails every comparison, so each check is a negated range test
+    with pytest.raises(ValueError):
+        call()
 
 def test_expected_rwf_loss_spot_values():
     assert expected_rwf_loss(CorrelationState(1.0)) == 0.0
@@ -232,6 +257,8 @@ _LAZY_IMPORT_CHECK = """
 import math, sys
 import phasekit
 assert "scipy.special" not in sys.modules, "import phasekit loaded scipy.special"
+loaded = [k for k in ("scipy.linalg", "scipy.sparse", "concurrent.futures") if k in sys.modules]
+assert not loaded, "import phasekit loaded %s" % loaded
 from phasekit.analysis import product_magnitude_density, sign_flip_bound
 got = (product_magnitude_density(1.0, 0.0).hex(), sign_flip_bound(1.0, 1.0, 0.25).hex())
 assert "scipy.special" in sys.modules, "the first call did not load scipy.special"
@@ -242,10 +269,6 @@ assert got == tuple(w.hex() for w in want), got
 """
 
 
-def test_import_leaves_scipy_special_unloaded_until_first_call():
+def test_import_leaves_scipy_special_unloaded_until_first_call(fresh_python):
     # a fresh interpreter, since this one has scipy.special loaded already
-    src = str(Path(phasekit.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run([sys.executable, "-c", _LAZY_IMPORT_CHECK], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
+    fresh_python(_LAZY_IMPORT_CHECK)

@@ -5,13 +5,13 @@ live in test_acceptance.py.  Everything here is deterministic, so row
 values can be compared exactly across reruns and worker counts.
 """
 
+import concurrent.futures
 import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from phasekit import experiments
 from phasekit.cli import build_parser, main
 from phasekit.config import (
     ConfigError,
@@ -157,6 +157,10 @@ def test_sweep_and_solver_config():
         {"mu": float("inf")},
         {"rho0": float("nan")},
         {"rho0": float("inf")},
+        {"output_path": "a\nb.csv"},
+        {"image_path": "x\r.pgm"},
+        {"output_path": " a.csv "},
+        {"image_path": "x.pgm\t"},
     ],
 )
 def test_validate_rejects(kwargs):
@@ -239,6 +243,42 @@ def test_csv_fingerprint_masks_columns(tmp_path):
     assert csv_fingerprint(a, ignore_columns=("v",)) == csv_fingerprint(
         b, ignore_columns=("v",)
     )
+
+
+def _demo_with(meta=None, name="a"):
+    """_demo_table with extra metadata and its first name cell replaced."""
+    table = _demo_table()
+    table.metadata.update(meta or {})
+    table.rows[0]["name"] = name
+    return table
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        _demo_with({"output_path": "a\nb.csv"}),
+        _demo_with({"note": "a\rb"}),
+        _demo_with({"a\nb": 1}),
+        _demo_with({"a=b": 1}),
+        _demo_with({"output_path": " a.csv "}),
+        _demo_with({" a": 1}),
+        _demo_with(name="a,b"),
+        _demo_with(name="a\nb"),
+        _demo_with(name="# a"),
+        ResultTable(columns=("a,b",)),
+        ResultTable(columns=("a\nb",)),
+        ResultTable(columns=("#a",)),
+        ResultTable(columns=("a",), rows=[{"a": ""}]),
+    ],
+    ids=["meta-lf", "meta-cr", "key-lf", "key-equals", "meta-blanks",
+         "key-blank", "cell-comma", "cell-lf", "cell-hash",
+         "column-comma", "column-lf", "column-hash", "empty-row"],
+)
+def test_write_csv_refuses_what_read_csv_cannot_read_back(tmp_path, table):
+    path = tmp_path / "sub" / "t.csv"
+    with pytest.raises(ValueError, match="cannot be read back"):
+        write_csv(table, str(path))
+    assert not (tmp_path / "sub").exists()
 
 
 def test_read_csv_requires_header(tmp_path):
@@ -612,7 +652,7 @@ def test_pool_starts_no_more_workers_than_trials(monkeypatch):
         def map(self, fn, args, chunksize=1):
             return map(fn, args)
 
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     cfg = ExperimentConfig(experiment="convergence_race", n=8, m_over_n=(4.0,), trials=2,
                            iteration_budget=5, jobs=64).validate()
     run_convergence_race(cfg)
@@ -620,6 +660,80 @@ def test_pool_starts_no_more_workers_than_trials(monkeypatch):
     cfg.trials = 1
     run_convergence_race(cfg)
     assert started == [2]  # a single trial runs in this process
+
+
+
+# scipy and the process pool stay off `import phasekit` and load on first use
+_FIRST_USE_CHECK = """
+import sys
+import numpy as np
+from phasekit import REAL, SolverConfig, make_gaussian, measure, random_signal, run, spectral_initialize
+from phasekit.streams import substream
+
+def loaded(*names):
+    return [k for k in names if k in sys.modules]
+
+A = make_gaussian(8, 48, REAL, seed=1)
+y = measure(A, random_signal(8, REAL, substream(1)))
+assert not loaded("scipy.linalg", "scipy.sparse"), loaded("scipy.linalg", "scipy.sparse")
+run(y, A, np.ones(8), SolverConfig("irwf", max_passes=1))  # the per-sample BLAS kernel
+assert "scipy.linalg" in sys.modules, "first run()"
+spectral_initialize(y, A)
+assert loaded("scipy.sparse.linalg"), "first spectral_initialize"
+"""
+
+# a pooled driver imports scipy before it builds its pool, so that forked
+# workers inherit it instead of each importing it on its first trial
+_POOL_CHECK = """
+import concurrent.futures, sys
+from phasekit.config import ExperimentConfig
+from phasekit.experiments import run_convergence_race
+
+seen = []
+
+class SerialPool:
+    def __init__(self, max_workers):
+        seen.append([k for k in ("scipy.linalg", "scipy.sparse.linalg") if k in sys.modules])
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, args, chunksize=1):
+        return map(fn, args)
+
+concurrent.futures.ProcessPoolExecutor = SerialPool
+cfg = ExperimentConfig(experiment="convergence_race", n=8, m_over_n=(4.0,), trials=2,
+                       iteration_budget=5, jobs=2).validate()
+assert "scipy.linalg" not in sys.modules
+run_convergence_race(cfg)
+assert seen == [["scipy.linalg", "scipy.sparse.linalg"]], seen
+"""
+
+_HELP_CHECK = """
+import sys
+from phasekit.cli import main
+try:
+    main(["--help"])
+except SystemExit as exc:
+    assert exc.code == 0, exc.code
+lazy = ("scipy.linalg", "scipy.sparse", "scipy.special", "concurrent.futures")
+assert not [k for k in lazy if k in sys.modules], [k for k in lazy if k in sys.modules]
+"""
+
+
+def test_run_and_init_load_scipy_on_first_call(fresh_python):
+    fresh_python(_FIRST_USE_CHECK)
+
+
+def test_pool_parent_loads_scipy_before_forking(fresh_python):
+    fresh_python(_POOL_CHECK)
+
+
+def test_cli_help_loads_no_scipy_or_pool(fresh_python):
+    fresh_python(_HELP_CHECK)
 
 
 # --- command line -----------------------------------------------------------
@@ -721,6 +835,13 @@ def test_cli_non_finite_value_exits_1(tmp_path, capsys, flags):
     assert main(["recover", "--n", "16", "--trials", "1", "--out", str(out)] + flags) == 1
     assert not out.exists()
     assert "phasekit: error:" in capsys.readouterr().err
+
+
+def test_cli_line_break_in_out_exits_1(tmp_path, capsys):
+    # the path is echoed into the CSV metadata, where it would split a line
+    assert main(["loss-surface", "--out", str(tmp_path / "x\ny.csv")]) == 1
+    assert "output_path must not contain a line break" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_unknown_command_exits_1(capsys):
