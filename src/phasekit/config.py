@@ -16,6 +16,7 @@ loudly before any computation starts.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 from .experiments import EXPERIMENTS
@@ -60,10 +61,16 @@ class ExperimentConfig:
             raise ConfigError("unknown experiment %r" % self.experiment)
         if self.model not in MODELS:
             raise ConfigError("unknown model %r" % self.model)
+        # counts: a float would pass the range tests below, then fail in range()
+        for name in ("n", "trials", "iteration_budget", "seed", "rho_grid", "normz_grid", "jobs"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ConfigError("%s must be an integer" % name)
         if self.n < 1:
             raise ConfigError("n must be >= 1")
-        if not self.masks or any(L < 2 for L in self.masks):
-            raise ConfigError("every mask count must be >= 2")
+        if not self.masks or not all(
+            isinstance(L, numbers.Integral) and L >= 2 for L in self.masks
+        ):
+            raise ConfigError("every mask count must be an integer >= 2")
         if not self.m_over_n or not all(math.isfinite(r * self.n) for r in self.m_over_n):
             raise ConfigError("every m_over_n must give a finite m")
         # the swept (m, n); none for the image demo, whose n comes from the image

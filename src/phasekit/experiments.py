@@ -2,7 +2,9 @@
 accuracy, noise sweeps, single recoveries, and the 2-D image demo.
 
 Every driver takes an ExperimentConfig and returns a ResultTable; execute()
-adds CSV emission.  Trial instances (signal, ensemble, noise, solver index
+adds CSV emission.  Every driver that solves runs each trial through the
+one pipeline, _trial: measure, take the spectral init, then run each
+algorithm from it.  Trial instances (signal, ensemble, noise, solver index
 stream, spectral-init start vector) all derive from (cfg.seed, purpose labels,
 trial index), so
 
@@ -27,20 +29,14 @@ from .pgm import read_pgm, write_pgm
 from .results import ResultTable, write_csv
 from .sensing import NoiseSpec, make_cdp, make_gaussian, measure
 from .solvers import RunTrace, run
-from .spectral import InitParams, spectral_initialize
+from .spectral import spectral_initialize
 from .streams import derive_seed, substream
-
-TRACE_COLUMNS = ("trial_id", "algorithm", "n", "m", "pass_count", "relative_error", "loss")
-
-
-def _model_field(model):
-    return REAL if model == "real" else COMPLEX
 
 
 def make_instance(model, n, m, seed, labels):
     """Fresh (x, ensemble) with m measurements for one trial, keyed by
     (seed, *labels); a CDP ensemble gets m // n masks."""
-    field = _model_field(model)
+    field = REAL if model == "real" else COMPLEX
     x = random_signal(n, field, substream(seed, "signal", *labels))
     if model == "cdp":
         A = make_cdp(n, m // n, derive_seed(seed, "ensemble", *labels))
@@ -62,33 +58,31 @@ def _noise_spec(cfg, x, labels, level=None):
     return NoiseSpec("bounded", level=float(rel) * float(np.linalg.norm(x)), seed=seed)
 
 
-def _init_for(cfg, y, A, labels):
-    return spectral_initialize(y, A, InitParams(), seed=derive_seed(cfg.seed, "init", *labels))
-
-
-def _trial(cfg, labels, m, algorithms, level=None):
-    """One trial: instance, measurements, spectral init, then each solve.
-
-    Every algorithm starts from the same init.  Returns (x, A, init,
+def _trial(cfg, x, A, labels, algorithms, level=None):
+    """One trial on the instance (x, A): measurements, spectral init, then
+    each solve, every algorithm from the same init.  Returns (init,
     [(algorithm, trace, solve_seconds), ...]) in the order of `algorithms`.
+
+    run and spectral_initialize are read from this module at each call, so
+    that perfbench's replay can replace them here.
     """
-    x, A = make_instance(cfg.model, cfg.n, m, cfg.seed, labels)
     y = measure(A, x, _noise_spec(cfg, x, labels, level=level))
-    init = _init_for(cfg, y, A, labels)
+    init = spectral_initialize(y, A, seed=derive_seed(cfg.seed, "init", *labels))
     solved = []
     for alg in algorithms:
         t0 = time.perf_counter()
         solver = cfg.solver_config(alg, derive_seed(cfg.seed, "solver", alg, *labels))
         trace = run(y, A, init.z0, solver, x_opt=x)
         solved.append((alg, trace, time.perf_counter() - t0))
-    return x, A, init, solved
+    return init, solved
 
 
 def _outcome(args):
     """Pool worker for every pooled driver: one trial's init relative error
     and {algorithm: (final error, passes used, solve seconds)}."""
     cfg, labels, m, level, algorithms = args
-    x, _, init, solved = _trial(cfg, labels, m, algorithms, level)
+    x, A = make_instance(cfg.model, cfg.n, m, cfg.seed, labels)
+    init, solved = _trial(cfg, x, A, labels, algorithms, level)
     outcomes = {alg: (trace.final_error(), trace.passes_used, secs) for alg, trace, secs in solved}
     return relative_error(init.z0, x), outcomes
 
@@ -131,10 +125,12 @@ def config_echo(cfg):
     return out
 
 
-def _table(cfg, columns, rows):
+def _table(cfg, rows):
+    """rows as a ResultTable whose columns are the first row's keys, in
+    order, with the config echo as metadata."""
     meta = config_echo(cfg)
     meta["phasekit_version"] = __version__
-    return ResultTable(columns=tuple(columns), rows=rows, metadata=meta)
+    return ResultTable(columns=tuple(rows[0]), rows=rows, metadata=meta)
 
 
 # --- phase transition ---------------------------------------------------
@@ -163,7 +159,7 @@ def run_phase_transition(cfg):
                     "success_rate": succ / cfg.trials,
                 }
             )
-    return _table(cfg, ("algorithm", "n", "m", "successes", "trials", "success_rate"), rows)
+    return _table(cfg, rows)
 
 
 # --- convergence race ---------------------------------------------------
@@ -192,7 +188,7 @@ def run_convergence_race(cfg):
                 "mean_seconds": float(np.mean(secs)),
             }
         )
-    return _table(cfg, ("algorithm", "n", "m", "mean_passes", "mean_seconds"), rows)
+    return _table(cfg, rows)
 
 
 # --- initialization accuracy --------------------------------------------
@@ -214,7 +210,7 @@ def run_init_accuracy(cfg):
                 "q75": float(np.percentile(block, 75)),
             }
         )
-    return _table(cfg, ("n", "m", "median_err", "q25", "q75"), rows)
+    return _table(cfg, rows)
 
 
 # --- noise sweep ----------------------------------------------------------
@@ -241,7 +237,7 @@ def run_noise_sweep(cfg):
                     "median_final_err": float(np.median(block)),
                 }
             )
-    return _table(cfg, ("algorithm", "alpha", "median_final_err"), rows)
+    return _table(cfg, rows)
 
 
 # --- single recovery ------------------------------------------------------
@@ -268,10 +264,12 @@ def run_recover(cfg):
     rows = []
     _, m = cfg.sweep()[0]
     for trial in range(cfg.trials):
-        _, A, _, solved = _trial(cfg, ("recover", trial), m, cfg.algorithms)
+        labels = ("recover", trial)
+        x, A = make_instance(cfg.model, cfg.n, m, cfg.seed, labels)
+        _, solved = _trial(cfg, x, A, labels, cfg.algorithms)
         for alg, trace, _ in solved:
             rows.extend(trace_rows(trace, trial, alg, cfg.n, A.m))
-    return _table(cfg, TRACE_COLUMNS, rows)
+    return _table(cfg, rows)
 
 
 # --- image demo -----------------------------------------------------------
@@ -310,10 +308,7 @@ def run_image_demo(cfg):
     labels = ("image",)
     A = make_cdp(n, L, derive_seed(cfg.seed, "ensemble", *labels))
     if np.any(x):
-        y = measure(A, x, _noise_spec(cfg, x, labels))
-        init = _init_for(cfg, y, A, labels)
-        solver = cfg.solver_config(alg, derive_seed(cfg.seed, "solver", alg, *labels))
-        trace = run(y, A, init.z0, solver, x_opt=xc)
+        _, [(_, trace, _)] = _trial(cfg, xc, A, labels, (alg,))
     else:
         # nothing to initialize: the zero image is recovered at pass 0
         trace = RunTrace(
@@ -324,13 +319,12 @@ def run_image_demo(cfg):
     pixels = np.clip(np.rint(aligned * maxval), 0, maxval).reshape(h, w)
     write_pgm(os.path.join(out_dir, "recovered.pgm"), pixels, maxval)
     write_csv(
-        _table(cfg, TRACE_COLUMNS, trace_rows(trace, 0, alg, n, A.m)),
+        _table(cfg, trace_rows(trace, 0, alg, n, A.m)),
         os.path.join(out_dir, "trace.csv"),
     )
     passes = trace.passes_to(cfg.success_tol)
     summary = _table(
         cfg,
-        ("algorithm", "n", "masks", "passes_to_tol", "final_error", "stop_reason"),
         [
             {
                 "algorithm": alg,
@@ -354,7 +348,7 @@ def run_loss_surface(cfg):
     rhos = np.linspace(-1.0, 1.0, cfg.rho_grid)
     norms = np.linspace(0.0, 2.0, cfg.normz_grid)
     rows = loss_surface_rows(rhos, norms, norm_x=1.0)
-    return _table(cfg, ("rho", "norm_z", "expected_rwf_loss", "expected_wf_loss"), rows)
+    return _table(cfg, rows)
 
 
 # experiment -> (CLI command, driver, default output path, description)

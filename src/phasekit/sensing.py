@@ -130,6 +130,9 @@ class Ensemble:
         return v
 
     def _check_row(self, i):
+        # numpy would index with a bool as a mask and refuse a float
+        if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
+            raise IndexError("row index %r is not an integer" % (i,))
         if not 0 <= i < self.m:
             raise IndexError("row index %d out of range" % i)
         return i
@@ -138,7 +141,12 @@ class Ensemble:
         return float(self.row_sqnorms()[self._check_row(i)])
 
     def _check_rows(self, idx):
-        idx = np.asarray(idx, dtype=np.intp)
+        """idx as an intp array; IndexError unless every entry is an
+        integer in [0, m)."""
+        idx = np.asarray(idx)
+        if idx.size and idx.dtype.kind not in "iu":
+            raise IndexError("row indices must be integers")
+        idx = idx.astype(np.intp, copy=False)
         if idx.size and (idx.min() < 0 or idx.max() >= self.m):
             raise IndexError("row index out of range")
         return idx

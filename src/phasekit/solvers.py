@@ -27,6 +27,7 @@ third of the time of the 2-D array.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -90,6 +91,9 @@ class SolverConfig:
             raise ValueError("mu must be positive and finite")
         if not 0 < self.rho0 < math.inf:
             raise ValueError("rho0 must be positive and finite")
+        for name in ("minibatch_k", "max_passes", "record_every"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError("%s must be an integer" % name)
         if self.minibatch_k < 1:
             raise ValueError("minibatch_k must be >= 1")
         if self.max_passes < 0:
@@ -241,10 +245,23 @@ def wf_gradient(z, y, A):
     return A.adjoint_apply(_intensity_residual(A.apply(z), y.values)) / A.m
 
 
-def irwf_step(z, i, y, A, step=None):
-    """Single-sample update z - step (a_i^* z - y_i ph(a_i^* z)) a_i."""
-    z = _checked_copy(z, y, A)
+def _checked_step(step, A):
+    """step, or 1/n for None; ValueError unless positive and finite."""
     step = 1.0 / A.n if step is None else step
+    # the negated range test also rejects NaN
+    if not 0 < step < math.inf:
+        raise ValueError("step must be positive and finite")
+    return step
+
+
+def irwf_step(z, i, y, A, step=None):
+    """Single-sample update z - step (a_i^* z - y_i ph(a_i^* z)) a_i.
+
+    step defaults to 1/n; a step that is not positive and finite raises
+    ValueError, and an i that is not an integer in [0, m) IndexError.
+    """
+    z = _checked_copy(z, y, A)
+    step = _checked_step(step, A)
     return _sample_updates(z, [i], y.values, {i: step}, A.row)  # A.row checks i
 
 
@@ -259,22 +276,25 @@ def kaczmarz_step(z, i, y, A):
     return irwf_step(z, i, y, A, step=1.0 / sq)
 
 
-def _check_block(gamma, m):
-    gamma = np.asarray(gamma, dtype=np.intp).ravel()
+def _check_block(gamma, A):
+    gamma = A._check_rows(gamma).ravel()
     if gamma.size == 0:
         raise ValueError("empty index block")
-    if gamma.min() < 0 or gamma.max() >= m:
-        raise IndexError("block index out of range")
     if np.unique(gamma).size != gamma.size:
         raise ValueError("block indices must be distinct")
     return gamma
 
 
 def minibatch_irwf_step(z, gamma, y, A, step=None):
-    """Block update z - step A_G^*(A_G z - y_G . ph(A_G z))."""
-    gamma = _check_block(gamma, A.m)
+    """Block update z - step A_G^*(A_G z - y_G . ph(A_G z)).
+
+    step defaults to 1/n; a step that is not positive and finite, or an
+    empty or repeating block, raises ValueError, and an index that is not
+    an integer in [0, m) IndexError.
+    """
+    gamma = _check_block(gamma, A)
     z = _checked_copy(z, y, A)
-    step = 1.0 / A.n if step is None else step
+    step = _checked_step(step, A)
     return _block_update(z, gamma, y.values, A, step)
 
 
@@ -297,7 +317,7 @@ def block_kaczmarz_step(z, gamma, y, A):
     fails or its reciprocal condition estimate is below
     1/BLOCK_CONDITION_LIMIT.
     """
-    gamma = _check_block(gamma, A.m)
+    gamma = _check_block(gamma, A)
     if gamma.size > A.n:
         raise ValueError("block larger than n cannot have independent rows")
     z = _checked_copy(z, y, A)

@@ -89,8 +89,11 @@ def estimate_norm(y, A):
     For real Gaussian rows the coefficient concentrates at sqrt(pi/2),
     undoing the E|a^T x| = sqrt(2/pi) ||x|| folding; for unit-modulus
     coded-diffraction rows each ||a_i||_1 = n exactly, so the coefficient
-    is exactly 1 (computed analytically, no rows materialized).
+    is exactly 1 (computed analytically, no rows materialized).  Raises
+    ValueError when y and A differ in measurement count.
     """
+    if y.m != A.m:
+        raise ValueError("measurement count does not match ensemble")
     l1 = A.row_l1_sum()
     if l1 <= 0:
         raise ValueError("ensemble has zero total row l1 norm")
@@ -186,8 +189,6 @@ def spectral_initialize(y, A, params=None, seed=0):
     """
     if params is None:
         params = InitParams()
-    if y.m != A.m:
-        raise ValueError("measurement count does not match ensemble")
     lam0 = estimate_norm(y, A)
     if params.preprocessing == "optimal":
         w = optimal_weights(y.values, lam0, A.m, A.n)

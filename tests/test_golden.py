@@ -87,6 +87,8 @@ IMAGE_DEMO = dict(
     seed=13,
     output_path="demo",
 )
+# the demo measures the image as a complex signal; bounded noise scales by its norm
+IMAGE_DEMO_BOUNDED = dict(IMAGE_DEMO, noise_kind="bounded", noise_level=0.001)
 
 GOLDEN = {
     "phase_transition": "b053e80c4d9ed267252c0a3170989d72f1b68cacb1eea66c3b242cf635e95d46",
@@ -98,6 +100,7 @@ GOLDEN = {
     "image_demo": "1710ae5b26a29405fdd97347effd0d01b1a9dc5e027f0130b8311831370cbe1e",
     "noise_sweep_bounded": "6d6f60e0ecbcf5780dc014de1f98d56163535ee401bc9ce76c06866c3e6ee549",
     "image_demo_all_zero": "64069a71444090d54f4914cdff72754f56ddea4bff6a50f5d15adaaf983039ea",
+    "image_demo_bounded": "8e98d709311fbdc1735bb41ff25cf95d476367f9a8082e2482efb79a98ac3d6b",
 }
 
 SOLVER_GOLDEN = {
@@ -163,6 +166,12 @@ def test_image_demo_fingerprint(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     execute(ExperimentConfig(**IMAGE_DEMO).validate())
     assert _demo_digest("demo") == GOLDEN["image_demo"]
+
+
+def test_image_demo_bounded_noise_fingerprint(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    execute(ExperimentConfig(**IMAGE_DEMO_BOUNDED).validate())
+    assert _demo_digest("demo") == GOLDEN["image_demo_bounded"]
 
 
 def test_image_demo_all_zero_fingerprint(tmp_path, monkeypatch):

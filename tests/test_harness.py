@@ -161,11 +161,29 @@ def test_sweep_and_solver_config():
         {"image_path": "x\r.pgm"},
         {"output_path": " a.csv "},
         {"image_path": "x.pgm\t"},
+        {"n": 10.5},
+        {"trials": 1.5},
+        {"iteration_budget": 2.5},
+        {"seed": 1.5},
+        {"rho_grid": 5.5},
+        {"normz_grid": 2.5},
+        {"jobs": 1.5},
+        {"masks": (5.5,)},
+        {"masks": (6, 2.0)},
+        {"minibatch_k": 1.5},
+        {"record_every": 1.5},
     ],
 )
 def test_validate_rejects(kwargs):
     with pytest.raises(ConfigError):
         ExperimentConfig(**kwargs).validate()
+
+
+def test_validate_accepts_numpy_integers():
+    i = np.int64
+    ExperimentConfig(n=i(16), trials=i(2), iteration_budget=i(5), seed=i(3), rho_grid=i(5),
+                     normz_grid=i(2), jobs=i(1), masks=(i(4),), minibatch_k=i(8),
+                     record_every=i(2)).validate()
 
 
 def test_experiment_table_drives_cli_and_validation():

@@ -233,6 +233,26 @@ def test_irwf_step_index_errors():
         irwf_step(x, -1, y, A)
     with pytest.raises(IndexError):
         irwf_step(x, 8, y, A)
+    C, xc, yc = _instance(4, 8, CDP, seed=34)
+    for bad in (1.5, np.float64(2.0), True):
+        with pytest.raises(IndexError, match="not an integer"):
+            irwf_step(x, bad, y, A)
+        with pytest.raises(IndexError, match="not an integer"):
+            kaczmarz_step(xc, bad, yc, C)
+        for B in (A, C):
+            with pytest.raises(IndexError, match="not an integer"):
+                B.row_sqnorm(bad)
+    # numpy integers index as Python ints do
+    assert np.array_equal(irwf_step(x, np.int64(3), y, A), irwf_step(x, 3, y, A))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0, 0.0])
+def test_step_functions_reject_bad_steps(bad):
+    A, x, y = _instance(5, 10, REAL, seed=41)
+    with pytest.raises(ValueError, match="step"):
+        irwf_step(x, 0, y, A, step=bad)
+    with pytest.raises(ValueError, match="step"):
+        minibatch_irwf_step(x, [0, 1], y, A, step=bad)
 
 
 @pytest.mark.parametrize("field", [REAL, COMPLEX])
@@ -312,6 +332,12 @@ def test_minibatch_invalid_blocks():
         minibatch_irwf_step(x, [1, 1], y, A)
     with pytest.raises(IndexError):
         minibatch_irwf_step(x, [0, 10], y, A)
+    # non-integer indices are refused, not truncated to rows (0, 1)
+    for bad in ([0.5, 1.7], np.array([0.0, 1.0]), [True, False]):
+        with pytest.raises(IndexError, match="integers"):
+            minibatch_irwf_step(x, bad, y, A)
+        with pytest.raises(IndexError, match="integers"):
+            block_kaczmarz_step(x, bad, y, A)
 
 
 @pytest.mark.parametrize("field", [REAL, COMPLEX])
@@ -514,6 +540,11 @@ def test_run_validation_errors():
         run(y, A, x, SolverConfig(max_passes=-1))
     with pytest.raises(ValueError):
         run(y, A, x, SolverConfig(record_every=0))
+    for bad in ({"minibatch_k": 1.5}, {"max_passes": 2.5}, {"record_every": 1.5},
+                {"max_passes": 2.0}):
+        with pytest.raises(ValueError, match="integer"):
+            SolverConfig(**bad).validate()
+    SolverConfig(minibatch_k=np.int64(4), max_passes=np.int32(3), record_every=np.uint8(2)).validate()
     for bad in ({"mu": np.nan}, {"mu": np.inf}, {"rho0": np.nan}, {"rho0": np.inf},
                 {"tol": np.nan}, {"tol": np.inf}):
         with pytest.raises(ValueError, match="finite"):

@@ -155,6 +155,8 @@ def test_measurement_count_mismatch(rng):
     y = Measurements(np.ones(23))
     with pytest.raises(ValueError):
         spectral_initialize(y, A)
+    with pytest.raises(ValueError, match="measurement count"):
+        estimate_norm(y, A)
 
 
 def _dense_top_eigenvector(A, y, lambda0, params=InitParams()):
