@@ -16,13 +16,12 @@ loudly before any computation starts.
 """
 
 import math
-import numbers
 from dataclasses import dataclass, fields
 
+from .core import _is_number
 from .experiments import EXPERIMENTS
+from .sensing import KINDS as MODELS
 from .solvers import SolverConfig
-
-MODELS = ("real", "complex", "cdp")
 
 NOISE_KINDS = ("none", "bounded", "poisson")
 
@@ -63,35 +62,35 @@ class ExperimentConfig:
             raise ConfigError("unknown model %r" % self.model)
         # counts: a float would pass the range tests below, then fail in range()
         for name in ("n", "trials", "iteration_budget", "seed", "rho_grid", "normz_grid", "jobs"):
-            if not isinstance(getattr(self, name), numbers.Integral):
+            if not _is_number(getattr(self, name), integral=True):
                 raise ConfigError("%s must be an integer" % name)
         if self.n < 1:
             raise ConfigError("n must be >= 1")
-        if not self.masks or not all(
-            isinstance(L, numbers.Integral) and L >= 2 for L in self.masks
-        ):
+        if not self.masks or not all(_is_number(L, integral=True) and L >= 2 for L in self.masks):
             raise ConfigError("every mask count must be an integer >= 2")
-        if not self.m_over_n or not all(math.isfinite(r * self.n) for r in self.m_over_n):
+        if not self.m_over_n or not all(
+            _is_number(r) and math.isfinite(r * self.n) for r in self.m_over_n
+        ):
             raise ConfigError("every m_over_n must give a finite m")
-        # the swept (m, n); none for the image demo, whose n comes from the image
-        sizes = [] if self.experiment == "image_demo" else [(m, self.n) for _, m in self.sweep()]
+        # the swept m; none for the image demo, whose n comes from the image
+        ms = [] if self.experiment == "image_demo" else self.sweep()
         # the spectral init's optimal preprocessing needs m > n
-        if any(m <= n for m, n in sizes):
+        if any(m <= self.n for m in ms):
             raise ConfigError("every m_over_n must give m > n")
         if not self.algorithms:
             raise ConfigError("need at least one algorithm")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
         # the negated range tests also reject NaN
-        if not 0 < self.success_tol < math.inf:
+        if not (_is_number(self.success_tol) and 0 < self.success_tol < math.inf):
             raise ConfigError("success_tol must be positive and finite")
         if self.iteration_budget < 0:
             raise ConfigError("iteration_budget must be >= 0")
         if self.noise_kind not in NOISE_KINDS:
             raise ConfigError("unknown noise kind %r" % self.noise_kind)
-        if not 0 <= self.noise_level < math.inf:
+        if not (_is_number(self.noise_level) and 0 <= self.noise_level < math.inf):
             raise ConfigError("noise_level must be finite and >= 0")
-        if not self.alphas or not all(0 < a < math.inf for a in self.alphas):
+        if not self.alphas or not all(_is_number(a) and 0 < a < math.inf for a in self.alphas):
             raise ConfigError("every alpha must be positive and finite")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
@@ -112,9 +111,10 @@ class ExperimentConfig:
         # the size-free checks.  Last, so that a bad success_tol or
         # iteration_budget is reported under its own name, not as the
         # SolverConfig field it becomes.
+        n = self.n if ms else None
         for alg in self.algorithms:
             solver = self.solver_config(alg)
-            for m, n in sizes or [(None, None)]:
+            for m in ms or [None]:
                 try:
                     solver.validate(m, n)
                 except ValueError as exc:
@@ -122,11 +122,11 @@ class ExperimentConfig:
         return self
 
     def sweep(self):
-        """The swept sizes as [(size value, m), ...]: mask counts L with
-        m = n L for model 'cdp', m/n ratios r with m = round(r n) otherwise."""
+        """The swept measurement counts m: n L for each mask count L with
+        model 'cdp', round(r n) for each m/n ratio r otherwise."""
         if self.model == "cdp":
-            return [(L, self.n * int(L)) for L in self.masks]
-        return [(r, int(round(r * self.n))) for r in self.m_over_n]
+            return [self.n * int(L) for L in self.masks]
+        return [int(round(r * self.n)) for r in self.m_over_n]
 
     def solver_config(self, algorithm, seed=0):
         """The SolverConfig every driver runs `algorithm` with."""

@@ -11,6 +11,7 @@ scalars are double precision.
 """
 
 import math
+import numbers
 
 import numpy as np
 
@@ -18,6 +19,13 @@ REAL = "real"
 COMPLEX = "complex"
 
 _TINY = np.finfo(np.float64).tiny  # smallest normal float64
+
+
+def _is_number(v, integral=False):
+    """v is a real number (an integer if integral), numpy scalars included;
+    a bool is neither, so a flag cannot pass for a count or a level."""
+    kind = numbers.Integral if integral else numbers.Real
+    return isinstance(v, kind) and not isinstance(v, bool)
 
 
 def as_signal(x):
@@ -53,7 +61,8 @@ def phase(v):
     """Elementwise unit phase v/|v| with the convention phase(0) = 0.
 
     Real input uses sign (sign(0) = 0), so the nonsmooth point of the
-    amplitude loss contributes a zero term rather than NaN.
+    amplitude loss contributes a zero term rather than NaN.  NaN in, NaN
+    out: a NaN entry gives a NaN phase and raises nothing.
     """
     v = np.asarray(v)
     if np.iscomplexobj(v):
@@ -101,6 +110,8 @@ def dist_up_to_phase(z, x):
     form sqrt(||z||^2 + ||x||^2 - 2|<z, x>|); it is evaluated here in the
     aligned form ||c z - x|| (identical algebraically, but free of the
     cancellation that caps the subtractive form near sqrt(eps)*||x||).
+    NaN in, NaN out: a NaN entry gives a NaN distance and raises nothing,
+    so run() sees a diverged iterate through its finiteness check.
     """
     z, x = _check_pair(z, x)
     if np.iscomplexobj(z):
@@ -113,7 +124,10 @@ def dist_up_to_phase(z, x):
 
 
 def relative_error(z, x):
-    """dist_up_to_phase(z, x) / ||x||; the reconstruction error metric."""
+    """dist_up_to_phase(z, x) / ||x||; the reconstruction error metric.
+
+    NaN in, NaN out, as for dist_up_to_phase; ValueError for a zero x.
+    """
     nx = np.linalg.norm(x)
     if nx == 0:
         raise ValueError("relative error undefined for zero reference signal")

@@ -24,10 +24,10 @@ import numpy as np
 
 from ._version import __version__
 from .analysis import loss_surface_rows
-from .core import COMPLEX, REAL, best_phase, random_signal, relative_error
+from .core import best_phase, random_signal, relative_error
 from .pgm import read_pgm, write_pgm
 from .results import ResultTable, write_csv
-from .sensing import NoiseSpec, make_cdp, make_gaussian, measure
+from .sensing import CDP, NoiseSpec, make_cdp, make_gaussian, measure
 from .solvers import RunTrace, run
 from .spectral import spectral_initialize
 from .streams import derive_seed, substream
@@ -36,13 +36,11 @@ from .streams import derive_seed, substream
 def make_instance(model, n, m, seed, labels):
     """Fresh (x, ensemble) with m measurements for one trial, keyed by
     (seed, *labels); a CDP ensemble gets m // n masks."""
-    field = REAL if model == "real" else COMPLEX
-    x = random_signal(n, field, substream(seed, "signal", *labels))
-    if model == "cdp":
+    if model == CDP:
         A = make_cdp(n, m // n, derive_seed(seed, "ensemble", *labels))
     else:
-        A = make_gaussian(n, m, field, derive_seed(seed, "ensemble", *labels))
-    return x, A
+        A = make_gaussian(n, m, model, derive_seed(seed, "ensemble", *labels))
+    return random_signal(n, A.field, substream(seed, "signal", *labels)), A
 
 
 def _noise_spec(cfg, x, labels, level=None):
@@ -143,7 +141,7 @@ def run_phase_transition(cfg):
     cfg.success_tol within cfg.iteration_budget passes.  Fresh signal,
     ensemble, and initialization per trial; all algorithms share them.
     """
-    ms = [m for _, m in cfg.sweep()]
+    ms = cfg.sweep()
     grid = _grid(cfg, "pt", [(m, None) for m in ms], cfg.algorithms)
     rows = []
     for alg in cfg.algorithms:
@@ -172,7 +170,7 @@ def run_convergence_race(cfg):
     starts from the same point.  Budget-limited runs contribute their full
     pass budget to the mean.
     """
-    _, m = cfg.sweep()[0]
+    m = cfg.sweep()[0]
     args = [(cfg, ("race", t), m, None, cfg.algorithms) for t in range(cfg.trials)]
     results = _map_trials(args, cfg.jobs)
     rows = []
@@ -196,7 +194,7 @@ def run_convergence_race(cfg):
 
 def run_init_accuracy(cfg):
     """Median and quartiles of the spectral-init error per sample size."""
-    ms = [m for _, m in cfg.sweep()]
+    ms = cfg.sweep()
     grid = _grid(cfg, "ia", [(m, None) for m in ms], ())
     rows = []
     for m, outcomes in zip(ms, grid):
@@ -224,7 +222,7 @@ def run_noise_sweep(cfg):
     the same column.  noise_kind 'none' degenerates to one clean level 0.
     """
     levels = (0.0,) if cfg.noise_kind == "none" else cfg.alphas
-    _, m = cfg.sweep()[0]
+    m = cfg.sweep()[0]
     grid = _grid(cfg, "ns", [(m, level) for level in levels], cfg.algorithms)
     rows = []
     for alg in cfg.algorithms:
@@ -262,7 +260,7 @@ def trace_rows(trace, trial_id, algorithm, n, m):
 def run_recover(cfg):
     """Full per-pass traces for each (trial, algorithm)."""
     rows = []
-    _, m = cfg.sweep()[0]
+    m = cfg.sweep()[0]
     for trial in range(cfg.trials):
         labels = ("recover", trial)
         x, A = make_instance(cfg.model, cfg.n, m, cfg.seed, labels)

@@ -23,12 +23,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import COMPLEX, REAL, as_signal
+from .core import COMPLEX, REAL, _is_number, as_signal
 from .streams import substream
 
-GAUSSIAN_REAL = "gaussian_real"
-GAUSSIAN_COMPLEX = "gaussian_complex"
 CDP = "cdp"
+# every ensemble's kind (the CLI's models, in order); a Gaussian one's is its field
+KINDS = (REAL, COMPLEX, CDP)
 
 # Rows per block wherever a pass over a Gaussian ensemble's rows makes a
 # temporary: the complex draws and the row norms.
@@ -93,10 +93,18 @@ class NoiseSpec:
         if self.kind == "poisson" and self.alpha is None:
             raise ValueError("poisson noise needs alpha > 0")
         # the negated tests also reject NaN
-        if self.level is not None and not 0 <= self.level < math.inf:
+        if self.level is not None and not (_is_number(self.level) and 0 <= self.level < math.inf):
             raise ValueError("noise level must be finite and >= 0")
-        if self.alpha is not None and not 0 < self.alpha < math.inf:
+        if self.alpha is not None and not (_is_number(self.alpha) and 0 < self.alpha < math.inf):
             raise ValueError("poisson noise needs a finite alpha > 0")
+
+
+def rows_apply(B, z):
+    """(a_i^* z)_i from the stacked rows B = (a_i): conj(B @ conj(z)) for
+    complex rows, which never conjugates B, and B @ z for real rows."""
+    if B.dtype.kind == "c":
+        return np.conj(B @ np.conj(z.astype(np.complex128, copy=False)))
+    return B @ z
 
 
 class Ensemble:
@@ -104,7 +112,8 @@ class Ensemble:
 
     apply(z) returns the length-m vector of inner products a_i^* z;
     adjoint_apply(v) returns sum_i v_i a_i, the conjugate-transpose
-    action.  row(i) materializes a_i itself (length n).
+    action.  row(i) materializes a_i itself (length n).  kind is one of
+    KINDS.
     """
 
     kind = None
@@ -113,6 +122,11 @@ class Ensemble:
         self.n = int(n)
         self.m = int(m)
         self.seed = seed
+
+    @property
+    def field(self):
+        """The field of the rows: REAL for real Gaussian rows, else COMPLEX."""
+        return REAL if self.kind == REAL else COMPLEX
 
     # subclasses implement: apply, adjoint_apply, row, block_rows,
     # row_sqnorms, row_l1_sum, materialize
@@ -157,11 +171,7 @@ class Ensemble:
 
     def block_apply(self, idx, z):
         """(A z)_Gamma for an index block Gamma."""
-        z = self._check_signal(z)
-        B = self.block_rows(idx)
-        if np.iscomplexobj(B):
-            return np.conj(B) @ z.astype(np.complex128, copy=False)
-        return B @ z
+        return rows_apply(self.block_rows(idx), self._check_signal(z))
 
     def block_adjoint(self, idx, u):
         """sum_{i in Gamma} u_i a_i."""
@@ -179,19 +189,11 @@ class GaussianEnsemble(Ensemble):
         rows = np.ascontiguousarray(rows)
         super().__init__(rows.shape[1], rows.shape[0], seed)
         self.rows = rows
-        self.kind = GAUSSIAN_COMPLEX if np.iscomplexobj(rows) else GAUSSIAN_REAL
+        self.kind = COMPLEX if np.iscomplexobj(rows) else REAL
         self._sqnorms = None
 
-    @property
-    def field(self):
-        return COMPLEX if self.kind == GAUSSIAN_COMPLEX else REAL
-
     def apply(self, z):
-        z = self._check_signal(z)
-        if self.kind == GAUSSIAN_COMPLEX:
-            # a_i^* z = conj(rows @ conj(z)) avoids conjugating the matrix
-            return np.conj(self.rows @ np.conj(z.astype(np.complex128, copy=False)))
-        return self.rows @ z
+        return rows_apply(self.rows, self._check_signal(z))
 
     def adjoint_apply(self, v):
         v = self._check_meas(v)
@@ -203,12 +205,8 @@ class GaussianEnsemble(Ensemble):
     def block_rows(self, idx):
         return self.rows[self._check_rows(idx)]
 
-    def block_apply(self, idx, z):
-        z = self._check_signal(z)
-        B = self.block_rows(idx)
-        if self.kind == GAUSSIAN_COMPLEX:
-            return np.conj(B @ np.conj(z.astype(np.complex128, copy=False)))
-        return B @ z
+    # defined on this class too: perfbench's span table wraps it here
+    block_apply = Ensemble.block_apply
 
     def row_sqnorms(self):
         if self._sqnorms is None:
@@ -226,7 +224,7 @@ class GaussianEnsemble(Ensemble):
 
     def materialize(self):
         """Dense M with apply(z) == M @ z (test oracle)."""
-        return np.conj(self.rows) if self.kind == GAUSSIAN_COMPLEX else self.rows
+        return np.conj(self.rows) if self.kind == COMPLEX else self.rows
 
     def descriptor(self):
         return {"kind": self.kind, "n": self.n, "m": self.m, "seed": self.seed}
@@ -236,7 +234,6 @@ class CDPEnsemble(Ensemble):
     """Coded diffraction patterns: per mask l, measurements F(d_l * z)."""
 
     kind = CDP
-    field = COMPLEX
 
     def __init__(self, masks, seed):
         masks = np.ascontiguousarray(masks, dtype=np.complex128)
@@ -340,20 +337,26 @@ def make_cdp(n, L, seed):
 
 
 def from_rows(rows, seed=None):
-    """Ensemble with explicitly given rows a_i (handy for small examples)."""
+    """Ensemble with explicitly given rows a_i (handy for small examples).
+
+    rows is one row (1-D) or a stack of them (2-D) with finite entries;
+    ValueError for any other shape, for no rows or no columns, and for a
+    NaN or infinite entry.
+    """
     rows = np.atleast_2d(np.asarray(rows))
-    return GaussianEnsemble(
-        rows.astype(np.complex128 if np.iscomplexobj(rows) else np.float64), seed
-    )
+    if rows.ndim != 2 or rows.size == 0:
+        raise ValueError("rows must be a nonempty 1-D or 2-D array")
+    rows = rows.astype(np.complex128 if np.iscomplexobj(rows) else np.float64)
+    if not np.all(np.isfinite(rows)):
+        raise ValueError("rows contain non-finite entries")
+    return GaussianEnsemble(rows, seed)
 
 
 def from_descriptor(d):
     """Rebuild an ensemble from its {kind, n, m|L, seed} record."""
     kind = d["kind"]
-    if kind == GAUSSIAN_REAL:
-        return make_gaussian(int(d["n"]), int(d["m"]), REAL, d["seed"])
-    if kind == GAUSSIAN_COMPLEX:
-        return make_gaussian(int(d["n"]), int(d["m"]), COMPLEX, d["seed"])
+    if kind in (REAL, COMPLEX):
+        return make_gaussian(int(d["n"]), int(d["m"]), kind, d["seed"])
     if kind == CDP:
         return make_cdp(int(d["n"]), int(d["L"]), d["seed"])
     raise ValueError("unknown ensemble kind %r" % kind)

@@ -27,7 +27,6 @@ third of the time of the 2-D array.
 """
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,13 +34,14 @@ import numpy as np
 from .core import (
     COMPLEX,
     _check_pair,
+    _is_number,
     amplitude_loss,
     as_signal,
     dist_up_to_phase,
     intensity_loss,
     phase,
 )
-from .sensing import CDP, GaussianEnsemble
+from .sensing import CDP, GaussianEnsemble, rows_apply
 from .streams import substream
 
 ALGORITHMS = (
@@ -87,18 +87,18 @@ class SolverConfig:
         if self.algorithm not in ALGORITHMS:
             raise ValueError("unknown algorithm %r" % self.algorithm)
         # the negated range tests also reject NaN
-        if self.mu is not None and not 0 < self.mu < math.inf:
+        if self.mu is not None and not (_is_number(self.mu) and 0 < self.mu < math.inf):
             raise ValueError("mu must be positive and finite")
-        if not 0 < self.rho0 < math.inf:
+        if not (_is_number(self.rho0) and 0 < self.rho0 < math.inf):
             raise ValueError("rho0 must be positive and finite")
         for name in ("minibatch_k", "max_passes", "record_every"):
-            if not isinstance(getattr(self, name), numbers.Integral):
+            if not _is_number(getattr(self, name), integral=True):
                 raise ValueError("%s must be an integer" % name)
         if self.minibatch_k < 1:
             raise ValueError("minibatch_k must be >= 1")
         if self.max_passes < 0:
             raise ValueError("max_passes must be >= 0")
-        if not 0 < self.tol < math.inf:
+        if not (_is_number(self.tol) and 0 < self.tol < math.inf):
             raise ValueError("tol must be positive and finite")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
@@ -138,8 +138,9 @@ class RunTrace:
 
 
 def _checked_copy(z, y, A):
-    """z as a new float64/complex128 vector after checking y and z against A
-    (non-finite entries pass, so run()'s divergence check sees them)."""
+    """z as a new float64/complex128 vector after checking y and z against A.
+    Non-finite entries pass: the step functions take z as given (run()
+    refuses a non-finite z0 in as_signal before it calls this)."""
     if y.m != A.m:
         raise ValueError("measurement count does not match ensemble")
     cplx = A.field == COMPLEX or np.iscomplexobj(z)
@@ -189,17 +190,11 @@ def _sample_updates(z, idx, y, steps, row):
     return z
 
 
-def _block_apply(B, z):
-    """A_G z from the stacked rows B = (a_i), i in G: conj(B @ conj(z)) for
-    complex rows, which never conjugates B."""
-    return np.conj(B @ np.conj(z)) if np.iscomplexobj(B) else B @ z
-
-
 def _block_update(z, gamma, y, A, step):
     """z -= step A_G^*(A_G z - y_G . ph(A_G z)), the minibatch update; the
     k rows are gathered once."""
     B = A.block_rows(gamma)
-    z -= step * (B.T @ _amplitude_residual(_block_apply(B, z), y[gamma]))
+    z -= step * (B.T @ _amplitude_residual(rows_apply(B, z), y[gamma]))
     return z
 
 
@@ -219,7 +214,7 @@ def _block_projection(z, gamma, y, A):
     from scipy.linalg import cho_solve, get_lapack_funcs
 
     B = A.block_rows(gamma)  # rows a_i
-    resid = _amplitude_residual(_block_apply(B, z), y[gamma])
+    resid = _amplitude_residual(rows_apply(B, z), y[gamma])
     M = np.conj(B) if np.iscomplexobj(B) else B  # A_G
     G = M @ B.T  # A_G A_G^*; B @ B.T (one SYRK) for real rows
     potrf, pocon = get_lapack_funcs(("potrf", "pocon"), (G,))
@@ -249,7 +244,7 @@ def _checked_step(step, A):
     """step, or 1/n for None; ValueError unless positive and finite."""
     step = 1.0 / A.n if step is None else step
     # the negated range test also rejects NaN
-    if not 0 < step < math.inf:
+    if not (_is_number(step) and 0 < step < math.inf):
         raise ValueError("step must be positive and finite")
     return step
 
@@ -300,7 +295,7 @@ def minibatch_irwf_step(z, gamma, y, A, step=None):
 
 def _full_mask_block(A, gamma):
     """Mask index l if gamma, as a set, is exactly mask l's block, else None."""
-    if getattr(A, "kind", None) != CDP or gamma.size != A.n:
+    if A.kind != CDP or gamma.size != A.n:
         return None
     l = int(gamma.min()) // A.n
     return l if np.array_equal(np.sort(gamma), np.arange(l * A.n, (l + 1) * A.n)) else None
@@ -408,7 +403,7 @@ def run(y, A, z0, cfg, x_opt=None):
         elif alg == "minibatch_irwf":
             for _ in range(updates_per_pass):
                 _block_update(z, rng.choice(m, size=k, replace=False), yv, A, step)
-        elif getattr(A, "kind", None) == CDP and k == n:
+        elif A.kind == CDP and k == n:
             # whole-mask blocks: the pseudoinverse reduces to 1/n scaling
             for _ in range(updates_per_pass):
                 _mask_projection(z, int(rng.integers(0, A.L)), yv, A)

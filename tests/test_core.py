@@ -220,6 +220,17 @@ def test_as_signal_rejects_bad_shapes():
         as_signal(np.array([1.0, np.inf]))
 
 
+def test_nan_in_nan_out():
+    # documented: these metrics pass NaN through rather than raise, which
+    # run()'s divergence check relies on
+    x = np.array([1.0, 2.0])
+    z = np.array([np.nan, 1.0])
+    assert np.isnan(phase(z)[0])
+    assert np.isnan(dist_up_to_phase(z, x))
+    assert np.isnan(relative_error(z, x))
+    assert np.isnan(dist_up_to_phase(z + 0j, x + 0j))
+
+
 def test_as_signal_field_rules():
     assert as_signal([1, 2, 3]).dtype == np.float64
     assert as_signal(np.array([1 + 1j], np.complex64)).dtype == np.complex128

@@ -14,6 +14,7 @@ import pytest
 
 from phasekit.cli import build_parser, main
 from phasekit.config import (
+    MODELS,
     ConfigError,
     ExperimentConfig,
     coerce_value,
@@ -35,6 +36,7 @@ from phasekit.experiments import (
 )
 from phasekit.pgm import read_pgm, write_pgm
 from phasekit.results import ResultTable, csv_fingerprint, read_csv, write_csv
+from phasekit.sensing import KINDS
 
 
 # --- config ---------------------------------------------------------------
@@ -109,9 +111,9 @@ def test_canned_configs_load(path):
 def test_sweep_and_solver_config():
     cfg = ExperimentConfig(n=10, m_over_n=(2.0, 2.46), masks=(3, 4), iteration_budget=7,
                            success_tol=1e-3, mu=0.5, rho0=2.0, minibatch_k=5, record_every=3)
-    assert cfg.sweep() == [(2.0, 20), (2.46, 25)]
+    assert cfg.sweep() == [20, 25]
     cfg.model = "cdp"
-    assert cfg.sweep() == [(3, 30), (4, 40)]
+    assert cfg.sweep() == [30, 40]
     solver = cfg.solver_config("irwf", seed=9)
     assert (solver.algorithm, solver.mu, solver.rho0, solver.minibatch_k) == ("irwf", 0.5, 2.0, 5)
     assert (solver.max_passes, solver.tol, solver.seed, solver.record_every) == (7, 1e-3, 9, 3)
@@ -172,6 +174,15 @@ def test_sweep_and_solver_config():
         {"masks": (6, 2.0)},
         {"minibatch_k": 1.5},
         {"record_every": 1.5},
+        {"success_tol": "1"},
+        {"mu": "1"},
+        {"rho0": None},
+        {"noise_level": None},
+        {"alphas": ("a",)},
+        {"m_over_n": ("a",)},
+        {"n": True, "m_over_n": (3.0,)},
+        {"trials": True},
+        {"minibatch_k": True},
     ],
 )
 def test_validate_rejects(kwargs):
@@ -378,6 +389,15 @@ def test_make_instance_deterministic():
     assert np.array_equal(A1.materialize(), A2.materialize())
     assert not np.array_equal(x1, x3)
     assert A1.m == 40
+
+
+def test_models_are_ensemble_kinds():
+    # one vocabulary: the config's models are the ensembles' kinds
+    assert MODELS == KINDS
+    for model in MODELS:
+        x, A = make_instance(model, 8, 24, 7, ("t", 0))
+        assert A.kind == model
+        assert (x.dtype == np.float64) == (model == "real")
 
 
 def test_phase_transition_accounting():

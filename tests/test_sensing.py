@@ -133,9 +133,12 @@ def test_cdp_all_ones_mask_is_plain_dft():
 
 
 def test_descriptor_round_trip():
-    A = make_gaussian(6, 10, COMPLEX, seed=12)
-    B = from_descriptor(A.descriptor())
-    assert np.array_equal(A.rows, B.rows)
+    for field in (REAL, COMPLEX):
+        A = make_gaussian(6, 10, field, seed=12)
+        assert A.descriptor()["kind"] == field
+        B = from_descriptor(A.descriptor())
+        assert B.kind == field
+        assert np.array_equal(A.rows, B.rows)
     C = make_cdp(8, 3, seed=12)
     D = from_descriptor(C.descriptor())
     assert np.array_equal(C.masks, D.masks)
@@ -346,6 +349,16 @@ def test_measurements_validation():
     assert Measurements(np.array([0.0, 2.0])).m == 2
 
 
+def test_from_rows_validation():
+    for bad in (np.ones((2, 2, 2)), [[np.nan, 1.0]], [[1.0, np.inf]], [[1j * np.nan]],
+                np.zeros((0, 3)), np.zeros((3, 0)), []):
+        with pytest.raises(ValueError):
+            from_rows(bad)
+    A = from_rows([1.0, 2.0])  # one row
+    assert (A.m, A.n, A.kind) == (1, 2, REAL)
+    assert from_rows([[1j, 0]]).kind == COMPLEX
+
+
 def test_noise_spec_validation():
     with pytest.raises(ValueError):
         NoiseSpec("bounded")
@@ -358,10 +371,15 @@ def test_noise_spec_validation():
     for level in (-0.5, float("nan"), float("inf")):
         with pytest.raises(ValueError):
             NoiseSpec("bounded", level=level)
-    for alpha in (-1.0, float("nan"), float("inf")):
+    for alpha in (-1.0, float("nan"), float("inf"), "1", True):
         with pytest.raises(ValueError):
             NoiseSpec("poisson", alpha=alpha)
+    for level in ("0.1", True):
+        with pytest.raises(ValueError):
+            NoiseSpec("bounded", level=level)
     NoiseSpec("bounded", level=0.0)  # a zero level stays valid
+    NoiseSpec("bounded", level=np.float32(0.5))
+    NoiseSpec("poisson", alpha=np.int64(2))
 
 
 @settings(max_examples=40)

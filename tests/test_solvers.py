@@ -246,7 +246,7 @@ def test_irwf_step_index_errors():
     assert np.array_equal(irwf_step(x, np.int64(3), y, A), irwf_step(x, 3, y, A))
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0, 0.0])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0, 0.0, "0.1", True])
 def test_step_functions_reject_bad_steps(bad):
     A, x, y = _instance(5, 10, REAL, seed=41)
     with pytest.raises(ValueError, match="step"):
@@ -546,9 +546,12 @@ def test_run_validation_errors():
             SolverConfig(**bad).validate()
     SolverConfig(minibatch_k=np.int64(4), max_passes=np.int32(3), record_every=np.uint8(2)).validate()
     for bad in ({"mu": np.nan}, {"mu": np.inf}, {"rho0": np.nan}, {"rho0": np.inf},
-                {"tol": np.nan}, {"tol": np.inf}):
+                {"tol": np.nan}, {"tol": np.inf}, {"tol": "1"}, {"rho0": None}, {"mu": "1"}):
         with pytest.raises(ValueError, match="finite"):
             run(y, A, x, SolverConfig(**bad))
+    for bad in ({"minibatch_k": True}, {"max_passes": False}, {"record_every": True}):
+        with pytest.raises(ValueError, match="integer"):
+            SolverConfig(**bad).validate()
     with pytest.raises(ValueError):
         run(y, A, x, SolverConfig(algorithm="minibatch_irwf", minibatch_k=19))
     with pytest.raises(ValueError):
