@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import _count, _level
 from .streams import substream
 
 # the sign-flip bound's hypothesis: ||h|| < (sqrt(2)-1)/sqrt(2) * ||x||
@@ -36,7 +37,8 @@ SIGN_FLIP_MAX_RATIO = (math.sqrt(2.0) - 1.0) / math.sqrt(2.0)
 
 @dataclass(frozen=True)
 class CorrelationState:
-    """(rho, ||x||, ||z||) summary a loss surface point depends on."""
+    """(rho, ||x||, ||z||) summary a loss surface point depends on; ValueError
+    unless |rho| <= 1, norm_x > 0 and norm_z >= 0, the norms finite."""
 
     rho: float
     norm_x: float = 1.0
@@ -47,10 +49,8 @@ class CorrelationState:
         if not abs(self.rho) <= 1.0 + 1e-12:
             raise ValueError("correlation must lie in [-1, 1]")
         object.__setattr__(self, "rho", float(min(1.0, max(-1.0, self.rho))))
-        if not 0 < self.norm_x < math.inf:
-            raise ValueError("norm_x must be positive and finite")
-        if not 0 <= self.norm_z < math.inf:
-            raise ValueError("norm_z must be nonnegative and finite")
+        _level(self.norm_x, "norm_x")
+        _level(self.norm_z, "norm_z", zero_ok=True)
 
 
 def abs_product_moment(rho):
@@ -123,10 +123,9 @@ def monte_carlo_expected_rwf_loss(state, samples, seed):
 
     Draws correlated standard-normal pairs and averages
     0.5 (||z|| |u| - ||x|| |v|)^2.  Returns (estimate, standard_error).
+    ValueError unless samples is an integer >= 1000 (not a bool).
     """
-    samples = int(samples)
-    if samples < 1000:
-        raise ValueError("need at least 1e3 samples")
+    samples = _count(samples, "samples", 1000)
     rho = state.rho
     nx, nz = state.norm_x, state.norm_z
     rng = substream(seed, "mc-loss")

@@ -18,7 +18,7 @@ loudly before any computation starts.
 import math
 from dataclasses import dataclass, fields
 
-from .core import _is_number
+from .core import _count, _is_number, _level
 from .experiments import EXPERIMENTS
 from .sensing import KINDS as MODELS
 from .solvers import SolverConfig
@@ -60,14 +60,13 @@ class ExperimentConfig:
             raise ConfigError("unknown experiment %r" % self.experiment)
         if self.model not in MODELS:
             raise ConfigError("unknown model %r" % self.model)
-        # counts: a float would pass the range tests below, then fail in range()
-        for name in ("n", "trials", "iteration_budget", "seed", "rho_grid", "normz_grid", "jobs"):
-            if not _is_number(getattr(self, name), integral=True):
-                raise ConfigError("%s must be an integer" % name)
-        if self.n < 1:
-            raise ConfigError("n must be >= 1")
-        if not self.masks or not all(_is_number(L, integral=True) and L >= 2 for L in self.masks):
-            raise ConfigError("every mask count must be an integer >= 2")
+        # counts: a float would pass a range test, then fail in range()
+        for name, low in (("n", 1), ("trials", 1), ("iteration_budget", 0), ("seed", 0),
+                          ("rho_grid", 2), ("normz_grid", 1), ("jobs", 1)):
+            _count(getattr(self, name), name, low, ConfigError)
+        # an empty tuple fails on its stand-in None, here and for alphas
+        for L in self.masks or (None,):
+            _count(L, "every mask count", 2, ConfigError)
         if not self.m_over_n or not all(
             _is_number(r) and math.isfinite(r * self.n) for r in self.m_over_n
         ):
@@ -79,25 +78,12 @@ class ExperimentConfig:
             raise ConfigError("every m_over_n must give m > n")
         if not self.algorithms:
             raise ConfigError("need at least one algorithm")
-        if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
-        # the negated range tests also reject NaN
-        if not (_is_number(self.success_tol) and 0 < self.success_tol < math.inf):
-            raise ConfigError("success_tol must be positive and finite")
-        if self.iteration_budget < 0:
-            raise ConfigError("iteration_budget must be >= 0")
+        _level(self.success_tol, "success_tol", error=ConfigError)
         if self.noise_kind not in NOISE_KINDS:
             raise ConfigError("unknown noise kind %r" % self.noise_kind)
-        if not (_is_number(self.noise_level) and 0 <= self.noise_level < math.inf):
-            raise ConfigError("noise_level must be finite and >= 0")
-        if not self.alphas or not all(_is_number(a) and 0 < a < math.inf for a in self.alphas):
-            raise ConfigError("every alpha must be positive and finite")
-        if self.seed < 0:
-            raise ConfigError("seed must be >= 0")
-        if self.rho_grid < 2 or self.normz_grid < 1:
-            raise ConfigError("loss-surface grids need rho_grid >= 2, normz_grid >= 1")
-        if self.jobs < 1:
-            raise ConfigError("jobs must be >= 1")
+        _level(self.noise_level, "noise_level", zero_ok=True, error=ConfigError)
+        for a in self.alphas or (None,):
+            _level(a, "every alpha", error=ConfigError)
         # the paths are echoed into the CSV metadata, where a line break
         # would split the line and read_csv strips outer blanks
         for name in ("output_path", "image_path"):

@@ -28,6 +28,24 @@ def _is_number(v, integral=False):
     return isinstance(v, kind) and not isinstance(v, bool)
 
 
+def _count(value, name, low, error=ValueError):
+    """int(value) for an integer (numpy integers too, not bool) >= low."""
+    if not _is_number(value, integral=True):
+        raise error("%s must be an integer" % name)
+    if value < low:
+        raise error("%s must be >= %d" % (name, low))
+    return int(value)
+
+
+def _level(value, name, zero_ok=False, error=ValueError):
+    """float(value) for a finite number > 0 (>= 0 with zero_ok); the
+    negated range test also rejects NaN."""
+    if not (_is_number(value) and (value >= 0 if zero_ok else value > 0) and value < math.inf):
+        rule = "finite and >= 0" if zero_ok else "positive and finite"
+        raise error("%s must be %s" % (name, rule))
+    return float(value)
+
+
 def as_signal(x):
     """Validate and return x as a 1-D float64/complex128 signal.
 
@@ -47,9 +65,11 @@ def as_signal(x):
 
 
 def random_signal(n, field, rng):
-    """Standard Gaussian signal: N(0,1) entries, or re/im each N(0, 1/2)."""
-    if n < 1:
-        raise ValueError("signal length must be >= 1")
+    """Standard Gaussian signal: N(0,1) entries, or re/im each N(0, 1/2).
+
+    ValueError unless the length n is an integer >= 1 (not a bool).
+    """
+    n = _count(n, "n", 1)
     if field == REAL:
         return rng.standard_normal(n)
     if field == COMPLEX:

@@ -18,12 +18,11 @@ sqrt(alpha * Poisson(|a_i^* x|^2 / alpha)) whose second moment matches the
 clean intensity.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import COMPLEX, REAL, _is_number, as_signal
+from .core import COMPLEX, REAL, _count, _level, as_signal
 from .streams import substream
 
 CDP = "cdp"
@@ -92,11 +91,10 @@ class NoiseSpec:
             raise ValueError("bounded noise needs w or level")
         if self.kind == "poisson" and self.alpha is None:
             raise ValueError("poisson noise needs alpha > 0")
-        # the negated tests also reject NaN
-        if self.level is not None and not (_is_number(self.level) and 0 <= self.level < math.inf):
-            raise ValueError("noise level must be finite and >= 0")
-        if self.alpha is not None and not (_is_number(self.alpha) and 0 < self.alpha < math.inf):
-            raise ValueError("poisson noise needs a finite alpha > 0")
+        if self.level is not None:
+            _level(self.level, "noise level", zero_ok=True)
+        if self.alpha is not None:
+            _level(self.alpha, "alpha")
 
 
 def rows_apply(B, z):
@@ -305,9 +303,9 @@ def _abs_sum(flat):
 
 
 def make_gaussian(n, m, field, seed):
-    """Seeded dense Gaussian ensemble, real or complex."""
-    if n < 1 or m < 1:
-        raise ValueError("ensemble dimensions must be positive")
+    """Seeded dense Gaussian ensemble, real or complex; ValueError unless
+    n and m are integers >= 1 (not bools)."""
+    n, m = _count(n, "n", 1), _count(m, "m", 1)
     rng = substream(seed, "ensemble")
     if field == REAL:
         rows = rng.standard_normal((m, n))
@@ -328,9 +326,9 @@ def make_gaussian(n, m, field, seed):
 
 
 def make_cdp(n, L, seed):
-    """Seeded coded-diffraction ensemble with uniform unit-modulus masks."""
-    if n < 2 or L < 1:
-        raise ValueError("need n >= 2 and L >= 1")
+    """Seeded coded-diffraction ensemble with uniform unit-modulus masks;
+    ValueError unless n >= 2 and L >= 1 are integers (not bools)."""
+    n, L = _count(n, "n", 2), _count(L, "L", 1)
     rng = substream(seed, "ensemble")
     masks = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=(L, n)))
     return CDPEnsemble(masks, seed)
@@ -353,12 +351,13 @@ def from_rows(rows, seed=None):
 
 
 def from_descriptor(d):
-    """Rebuild an ensemble from its {kind, n, m|L, seed} record."""
+    """Rebuild an ensemble from its {kind, n, m|L, seed} record; the sizes
+    are checked as make_gaussian and make_cdp check them, not coerced."""
     kind = d["kind"]
     if kind in (REAL, COMPLEX):
-        return make_gaussian(int(d["n"]), int(d["m"]), kind, d["seed"])
+        return make_gaussian(d["n"], d["m"], kind, d["seed"])
     if kind == CDP:
-        return make_cdp(int(d["n"]), int(d["L"]), d["seed"])
+        return make_cdp(d["n"], d["L"], d["seed"])
     raise ValueError("unknown ensemble kind %r" % kind)
 
 

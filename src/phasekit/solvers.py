@@ -34,7 +34,8 @@ import numpy as np
 from .core import (
     COMPLEX,
     _check_pair,
-    _is_number,
+    _count,
+    _level,
     amplitude_loss,
     as_signal,
     dist_up_to_phase,
@@ -71,7 +72,10 @@ class SolverConfig:
     applied as mu/||z0||^2 (an experimental constant-step stand-in for the
     usual ramped schedule).  Incremental algorithms ignore mu and step by
     rho0/n per sample; Kaczmarz variants ignore both.  minibatch_k bounds:
-    at most m, and at most n for the block pseudoinverse solver.
+    at most m, and at most n for the block pseudoinverse solver.  validate()
+    raises ValueError unless the counts are integers (minibatch_k and
+    record_every >= 1, max_passes and seed >= 0) and the levels (mu, rho0,
+    tol) are positive and finite.
     """
 
     algorithm: str = "rwf"
@@ -86,22 +90,12 @@ class SolverConfig:
     def validate(self, m=None, n=None):
         if self.algorithm not in ALGORITHMS:
             raise ValueError("unknown algorithm %r" % self.algorithm)
-        # the negated range tests also reject NaN
-        if self.mu is not None and not (_is_number(self.mu) and 0 < self.mu < math.inf):
-            raise ValueError("mu must be positive and finite")
-        if not (_is_number(self.rho0) and 0 < self.rho0 < math.inf):
-            raise ValueError("rho0 must be positive and finite")
-        for name in ("minibatch_k", "max_passes", "record_every"):
-            if not _is_number(getattr(self, name), integral=True):
-                raise ValueError("%s must be an integer" % name)
-        if self.minibatch_k < 1:
-            raise ValueError("minibatch_k must be >= 1")
-        if self.max_passes < 0:
-            raise ValueError("max_passes must be >= 0")
-        if not (_is_number(self.tol) and 0 < self.tol < math.inf):
-            raise ValueError("tol must be positive and finite")
-        if self.record_every < 1:
-            raise ValueError("record_every must be >= 1")
+        if self.mu is not None:
+            _level(self.mu, "mu")
+        _level(self.rho0, "rho0")
+        _level(self.tol, "tol")
+        for name, low in (("minibatch_k", 1), ("max_passes", 0), ("record_every", 1), ("seed", 0)):
+            _count(getattr(self, name), name, low)
         if m is not None and self.algorithm in ("minibatch_irwf", "block_kaczmarz_pr"):
             if self.minibatch_k > m:
                 raise ValueError("minibatch_k exceeds measurement count")
@@ -240,15 +234,6 @@ def wf_gradient(z, y, A):
     return A.adjoint_apply(_intensity_residual(A.apply(z), y.values)) / A.m
 
 
-def _checked_step(step, A):
-    """step, or 1/n for None; ValueError unless positive and finite."""
-    step = 1.0 / A.n if step is None else step
-    # the negated range test also rejects NaN
-    if not (_is_number(step) and 0 < step < math.inf):
-        raise ValueError("step must be positive and finite")
-    return step
-
-
 def irwf_step(z, i, y, A, step=None):
     """Single-sample update z - step (a_i^* z - y_i ph(a_i^* z)) a_i.
 
@@ -256,7 +241,7 @@ def irwf_step(z, i, y, A, step=None):
     ValueError, and an i that is not an integer in [0, m) IndexError.
     """
     z = _checked_copy(z, y, A)
-    step = _checked_step(step, A)
+    step = 1.0 / A.n if step is None else _level(step, "step")
     return _sample_updates(z, [i], y.values, {i: step}, A.row)  # A.row checks i
 
 
@@ -289,7 +274,7 @@ def minibatch_irwf_step(z, gamma, y, A, step=None):
     """
     gamma = _check_block(gamma, A)
     z = _checked_copy(z, y, A)
-    step = _checked_step(step, A)
+    step = 1.0 / A.n if step is None else _level(step, "step")
     return _block_update(z, gamma, y.values, A, step)
 
 
