@@ -5,12 +5,14 @@
 #   scripts/run_all.sh phase_transition image_demo
 #
 # Each config's command is the CLI command of its `experiment`, read from
-# phasekit.experiments.EXPERIMENTS in the src/ beside this script.
+# phasekit.experiments.EXPERIMENTS in the src/ beside this script, and is
+# run from that src/ too, whether or not phasekit is installed.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
 command_for() {
-    PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python3 -c '
+    python3 -c '
 import sys
 from phasekit.config import ConfigError, load_config
 from phasekit.experiments import EXPERIMENTS
@@ -34,5 +36,5 @@ fi
 for name in "${names[@]}"; do
     cmd=$(command_for "configs/$name.cfg")
     echo "== phasekit $cmd --config configs/$name.cfg"
-    phasekit "$cmd" --config "configs/$name.cfg"
+    python3 -m phasekit.cli "$cmd" --config "configs/$name.cfg"
 done

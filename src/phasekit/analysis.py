@@ -29,36 +29,38 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _count, _level
+from .core import _count, _is_number, _level
 from .streams import substream
 
 # the sign-flip bound's hypothesis: ||h|| < (sqrt(2)-1)/sqrt(2) * ||x||
 SIGN_FLIP_MAX_RATIO = (math.sqrt(2.0) - 1.0) / math.sqrt(2.0)
 
+
+def _correlation(rho):
+    """float(rho) clamped to [-1, 1]; ValueError unless |rho| <= 1 + 1e-12 (not NaN, bool, str)."""
+    if not (_is_number(rho) and abs(rho) <= 1.0 + 1e-12):
+        raise ValueError("rho must be in [-1, 1]")
+    return min(1.0, max(-1.0, float(rho)))
+
+
 @dataclass(frozen=True)
 class CorrelationState:
     """(rho, ||x||, ||z||) summary a loss surface point depends on; ValueError
-    unless |rho| <= 1, norm_x > 0 and norm_z >= 0, the norms finite."""
+    unless rho passes _correlation (stored clamped), norm_x > 0, norm_z >= 0."""
 
     rho: float
     norm_x: float = 1.0
     norm_z: float = 1.0
 
     def __post_init__(self):
-        # negated range tests, here and in the functions below, also reject NaN
-        if not abs(self.rho) <= 1.0 + 1e-12:
-            raise ValueError("correlation must lie in [-1, 1]")
-        object.__setattr__(self, "rho", float(min(1.0, max(-1.0, self.rho))))
+        object.__setattr__(self, "rho", _correlation(self.rho))
         _level(self.norm_x, "norm_x")
         _level(self.norm_z, "norm_z", zero_ok=True)
 
 
 def abs_product_moment(rho):
-    """E|uv| for a standard-normal pair with correlation rho."""
-    rho = float(rho)
-    if not abs(rho) <= 1.0 + 1e-12:
-        raise ValueError("correlation must lie in [-1, 1]")
-    rho = min(1.0, max(-1.0, rho))
+    """E|uv| for a standard-normal pair with correlation rho (_correlation's rule)."""
+    rho = _correlation(rho)
     # (1-rho)(1+rho) keeps its relative accuracy where 1 - rho^2 cancels
     return 2.0 / math.pi * (math.sqrt((1.0 - rho) * (1.0 + rho)) + rho * math.asin(rho))
 
@@ -84,14 +86,13 @@ def product_magnitude_density(x_val, rho):
     psi(x) = (pi sqrt(1-rho^2))^{-1} (e^{rho x/(1-rho^2)}
              + e^{-rho x/(1-rho^2)}) K0(x/(1-rho^2)),
     evaluated through the scaled Bessel so large rho x does not overflow.
+    ValueError unless x_val is positive and finite (not a bool) and |rho| < 1.
     """
     from scipy.special import k0e
 
-    x_val = float(x_val)
+    x_val = _level(x_val, "x_val")
     rho = float(rho)
-    if not x_val > 0:
-        raise ValueError("density argument must be positive")
-    if not abs(rho) < 1:
+    if not abs(rho) < 1:  # the negated test also rejects NaN
         raise ValueError("density needs |rho| < 1 (degenerate at |rho| = 1)")
     q = 1.0 - rho * rho
     s = x_val / q
@@ -104,14 +105,12 @@ def sign_flip_bound(t, norm_x, norm_h):
 
     Bounds the conditional probability that a Gaussian row a with
     |a^T x| ~ sqrt(t)-scaled magnitude sees x and z = x + h with opposite
-    signs.  Valid only in the regime ||h|| < (sqrt(2)-1)/sqrt(2) ||x||.
+    signs.  ValueError unless t and the norms are positive and finite, in
+    the regime ||h|| < (sqrt(2)-1)/sqrt(2) ||x|| where the bound holds.
     """
     from scipy.special import erfc
 
-    if not t > 0:
-        raise ValueError("t must be positive")
-    if not (norm_x > 0 and norm_h > 0):
-        raise ValueError("norms must be positive")
+    t, norm_x, norm_h = _level(t, "t"), _level(norm_x, "norm_x"), _level(norm_h, "norm_h")
     if not norm_h < SIGN_FLIP_MAX_RATIO * norm_x:
         raise ValueError("outside the sign-agreement regime: require "
                          "norm_h < (sqrt(2)-1)/sqrt(2) * norm_x")

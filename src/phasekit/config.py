@@ -20,10 +20,8 @@ from dataclasses import dataclass, fields
 
 from .core import _count, _is_number, _level
 from .experiments import EXPERIMENTS
-from .sensing import KINDS as MODELS
+from .sensing import KINDS as MODELS, NOISE_KINDS
 from .solvers import SolverConfig
-
-NOISE_KINDS = ("none", "bounded", "poisson")
 
 
 class ConfigError(ValueError):

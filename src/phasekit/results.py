@@ -109,15 +109,15 @@ def read_csv(path):
     return metadata, columns, rows
 
 
-def csv_fingerprint(path, ignore_columns=()):
+def csv_fingerprint(path):
     """Canonical bytes for determinism checks: read_csv's parse re-joined.
 
-    Drops the timestamp metadata line and masks the named columns (used
-    for wall-clock fields, which legitimately differ between reruns).
+    Drops the timestamp metadata line and masks every *_seconds column
+    (wall-clock fields, which legitimately differ between reruns).
     """
     metadata, columns, rows = read_csv(path)
     lines = ["# %s = %s" % (k, v) for k, v in metadata.items() if k != TIMESTAMP_KEY]
     lines.append(",".join(columns))
     for row in rows:
-        lines.append(",".join("_" if c in ignore_columns else row[c] for c in columns))
+        lines.append(",".join("_" if c.endswith("_seconds") else row[c] for c in columns))
     return "\n".join(lines).encode("utf-8")

@@ -28,6 +28,7 @@ from .streams import substream
 CDP = "cdp"
 # every ensemble's kind (the CLI's models, in order); a Gaussian one's is its field
 KINDS = (REAL, COMPLEX, CDP)
+NOISE_KINDS = ("none", "bounded", "poisson")
 
 # Rows per block wherever a pass over a Gaussian ensemble's rows makes a
 # temporary: the complex draws and the row norms.
@@ -76,6 +77,7 @@ class NoiseSpec:
         from the (seed, 'bounded-noise') stream and rescaled so the level
         holds exactly (halving `level` at fixed seed halves w entrywise).
     kind 'poisson': y = sqrt(alpha * Poisson(|a^* x|^2 / alpha)).
+    ValueError at build for a bad kind, level, alpha or seed (an int >= 0).
     """
 
     kind: str = "none"
@@ -85,8 +87,9 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("none", "bounded", "poisson"):
+        if self.kind not in NOISE_KINDS:
             raise ValueError("unknown noise kind %r" % self.kind)
+        _count(self.seed, "seed", 0)
         if self.kind == "bounded" and self.w is None and self.level is None:
             raise ValueError("bounded noise needs w or level")
         if self.kind == "poisson" and self.alpha is None:
@@ -304,7 +307,7 @@ def _abs_sum(flat):
 
 def make_gaussian(n, m, field, seed):
     """Seeded dense Gaussian ensemble, real or complex; ValueError unless
-    n and m are integers >= 1 (not bools)."""
+    n and m are integers >= 1 and seed one >= 0 (not bools)."""
     n, m = _count(n, "n", 1), _count(m, "m", 1)
     rng = substream(seed, "ensemble")
     if field == REAL:
@@ -327,7 +330,7 @@ def make_gaussian(n, m, field, seed):
 
 def make_cdp(n, L, seed):
     """Seeded coded-diffraction ensemble with uniform unit-modulus masks;
-    ValueError unless n >= 2 and L >= 1 are integers (not bools)."""
+    ValueError unless n >= 2, L >= 1 and seed >= 0 are integers (not bools)."""
     n, L = _count(n, "n", 2), _count(L, "L", 1)
     rng = substream(seed, "ensemble")
     masks = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=(L, n)))

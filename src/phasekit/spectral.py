@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import COMPLEX, REAL
+from .core import COMPLEX
 from .streams import substream
 
 PREPROCESSINGS = ("optimal", "truncated")
@@ -134,10 +134,8 @@ def _start_vector(A, seed):
     rng = substream(seed, "power-start")
     if A.field == COMPLEX:
         v = rng.standard_normal(A.n) + 1j * rng.standard_normal(A.n)
-    elif A.field == REAL:
-        v = rng.standard_normal(A.n)
     else:
-        raise ValueError("unknown ensemble field %r" % (A.field,))
+        v = rng.standard_normal(A.n)
     return v / np.linalg.norm(v)
 
 
@@ -185,7 +183,7 @@ def spectral_initialize(y, A, params=None, seed=0):
     from n products when n < 3).  "optimal" raises ValueError when
     m <= n.  All-zero weights raise EmptyTruncationError; a Lanczos run
     that does not converge raises scipy's ArpackNoConvergence, for either
-    preprocessing.
+    preprocessing.  ValueError unless seed is an integer >= 0 (not a bool).
     """
     if params is None:
         params = InitParams()

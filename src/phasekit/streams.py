@@ -14,6 +14,8 @@ Philox engine, so
 
 import numpy as np
 
+from .core import _count
+
 
 def _as_entropy(key):
     if isinstance(key, (int, np.integer)):
@@ -26,8 +28,8 @@ def _as_entropy(key):
 
 
 def substream(seed, *labels):
-    """Philox generator for the stream identified by (seed, *labels)."""
-    entropy = [_as_entropy(seed)] + [_as_entropy(k) for k in labels]
+    """Philox generator for the stream (seed, *labels); ValueError unless seed is an int >= 0."""
+    entropy = [_count(seed, "seed", 0)] + [_as_entropy(k) for k in labels]
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
 
 
@@ -36,7 +38,7 @@ def derive_seed(seed, *labels):
 
     Used where a component stores a plain int seed in its descriptor
     (ensembles, noise specs) but the seed itself should come from the
-    master-seed hierarchy.
+    master-seed hierarchy.  The seed follows substream's rule.
     """
-    entropy = [_as_entropy(seed)] + [_as_entropy(k) for k in labels]
+    entropy = [_count(seed, "seed", 0)] + [_as_entropy(k) for k in labels]
     return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])

@@ -465,11 +465,10 @@ def test_criterion_10_rerun_determinism(tmp_path):
     for name, kwargs in experiments.items():
         path = str(tmp_path / (name + ".csv"))
         cfg = ExperimentConfig(**kwargs, output_path=path).validate()
-        ignore = ("mean_seconds",) if name == "convergence_race" else ()
         execute(cfg)
-        first = csv_fingerprint(path, ignore_columns=ignore)
+        first = csv_fingerprint(path)
         execute(cfg)
-        same = csv_fingerprint(path, ignore_columns=ignore) == first
+        same = csv_fingerprint(path) == first
         ok = ok and same
         stable.append("%s:%s" % (name, "ok" if same else "DIFFERS"))
 

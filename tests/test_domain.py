@@ -1,11 +1,13 @@
-"""The domain of every count and level the public API takes.
+"""The domain of every count, level and correlation the public API takes.
 
 A count is an integer at or above its minimum (numpy integers pass, bools
 do not); a level is a finite number above 0, or at least 0 where a zero
-level is allowed.  Each row of the table names one argument or config
-field, the rule it follows, the error it documents, and a call that
-passes a value to it alone.  Outside the domain the call must raise that
-error, naming the argument; at its edge it must not raise.
+level is allowed; a correlation is a number with |rho| <= 1 + 1e-12.
+Seeds are counts from 0 at every entry point that takes one.  Each row of
+the table names one argument or config field, the rule it follows, the
+error it documents, and a call that passes a value to it alone.  Outside
+the domain the call must raise that error, naming the argument; at its
+edge it must not raise.
 """
 
 import re
@@ -22,6 +24,7 @@ from phasekit import (
     ExperimentConfig,
     NoiseSpec,
     SolverConfig,
+    abs_product_moment,
     from_descriptor,
     irwf_step,
     make_cdp,
@@ -29,9 +32,12 @@ from phasekit import (
     measure,
     minibatch_irwf_step,
     monte_carlo_expected_rwf_loss,
+    product_magnitude_density,
     random_signal,
+    sign_flip_bound,
+    spectral_initialize,
 )
-from phasekit.streams import substream
+from phasekit.streams import derive_seed, substream
 
 NAN, INF = float("nan"), float("inf")
 
@@ -49,11 +55,16 @@ def _solver(**kwargs):
 
 
 def _counts(low):
-    return ("count", low)
+    return ("count", low, low)
 
 
-def _levels(zero_ok=False):
-    return ("level", zero_ok)
+def _levels(zero_ok=False, least=5e-324):
+    """least is the smallest valid level the edge test tries: above 0 where
+    another argument bounds this one from below."""
+    return ("level", zero_ok, least)
+
+
+_CORRELATION = ("correlation", None, None)
 
 
 # (row id, rule, documented error, name in the message, call with the value)
@@ -63,6 +74,13 @@ DOMAIN = [
     ("make_gaussian.m", _counts(1), ValueError, "m", lambda v: make_gaussian(4, v, REAL, 0)),
     ("make_cdp.n", _counts(2), ValueError, "n", lambda v: make_cdp(v, 2, 0)),
     ("make_cdp.L", _counts(1), ValueError, "L", lambda v: make_cdp(4, v, 0)),
+    ("make_gaussian.seed", _counts(0), ValueError, "seed", lambda v: make_gaussian(4, 4, REAL, v)),
+    ("make_cdp.seed", _counts(0), ValueError, "seed", lambda v: make_cdp(4, 2, v)),
+    ("NoiseSpec.seed", _counts(0), ValueError, "seed", lambda v: NoiseSpec(seed=v)),
+    ("spectral_initialize.seed", _counts(0), ValueError, "seed",
+     lambda v: spectral_initialize(_Y, _A, seed=v)),
+    ("substream.seed", _counts(0), ValueError, "seed", lambda v: substream(v, "x")),
+    ("derive_seed.seed", _counts(0), ValueError, "seed", lambda v: derive_seed(v, "x")),
     ("from_descriptor.n", _counts(1), ValueError, "n",
      lambda v: from_descriptor({"kind": REAL, "n": v, "m": 4, "seed": 0})),
     ("from_descriptor.m", _counts(1), ValueError, "m",
@@ -117,6 +135,16 @@ DOMAIN = [
      lambda v: CorrelationState(0.5, norm_x=v)),
     ("CorrelationState.norm_z", _levels(zero_ok=True), ValueError, "norm_z",
      lambda v: CorrelationState(0.5, norm_z=v)),
+    ("CorrelationState.rho", _CORRELATION, ValueError, "rho", lambda v: CorrelationState(v)),
+    ("abs_product_moment.rho", _CORRELATION, ValueError, "rho", lambda v: abs_product_moment(v)),
+    # the bound holds only for norm_h < 0.29 norm_x: the other two norms sit inside it
+    ("sign_flip_bound.t", _levels(), ValueError, "t", lambda v: sign_flip_bound(v, 1.0, 0.1)),
+    ("sign_flip_bound.norm_x", _levels(least=1e-300), ValueError, "norm_x",
+     lambda v: sign_flip_bound(0.1, v, 5e-324)),
+    ("sign_flip_bound.norm_h", _levels(), ValueError, "norm_h",
+     lambda v: sign_flip_bound(0.1, 10.0, v)),
+    ("product_magnitude_density.x_val", _levels(), ValueError, "x_val",
+     lambda v: product_magnitude_density(v, 0.5)),
 ]
 IDS = [row[0] for row in DOMAIN]
 
@@ -130,7 +158,10 @@ _ALWAYS_BAD = st.one_of(
 
 def _invalid(rule):
     """Strategy for values the rule refuses."""
-    kind, bound = rule
+    kind, bound, _ = rule
+    if kind == "correlation":
+        beyond = st.one_of(st.floats(min_value=1.0 + 1e-12, exclude_min=True), st.integers(2))
+        return st.one_of(_ALWAYS_BAD, beyond, beyond.map(lambda r: -r))
     if kind == "count":
         # every float, integral ones included, is refused: a count is an integer
         below = st.integers(min_value=-(2**63), max_value=bound - 1)
@@ -142,10 +173,12 @@ def _invalid(rule):
 
 def _valid(rule):
     """Values at the edge of the rule's domain, numpy scalars included."""
-    kind, bound = rule
+    kind, bound, least = rule
+    if kind == "correlation":
+        return [1, -1, 1.0 + 1e-13, -1.0 - 1e-13, 0, np.float32(0.5), np.int64(-1)]
     if kind == "count":
         return [bound, bound + 1, np.int64(bound), np.uint16(bound)]
-    return [1, 0.5, np.float32(0.25), np.int64(2)] + ([0, 0.0, -0.0] if bound else [5e-324])
+    return [1, 0.5, np.float32(0.25), np.int64(2)] + ([0, 0.0, -0.0] if bound else [least])
 
 
 @pytest.mark.parametrize("row", DOMAIN, ids=IDS)
@@ -193,3 +226,51 @@ def test_sizes_seeds_and_sample_counts_are_checked_not_coerced(call, name):
     with pytest.raises(ValueError, match=r"^%s must be" % name):
         call()
 
+
+@pytest.mark.parametrize("seed", ["3", True, 2.5, -1], ids=["str", "bool", "float", "negative"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda v: make_gaussian(4, 8, REAL, v),
+        lambda v: make_cdp(4, 2, v),
+        lambda v: NoiseSpec("bounded", level=0.1, seed=v),
+        lambda v: spectral_initialize(_Y, _A, seed=v),
+        lambda v: substream(v),
+        lambda v: derive_seed(v),
+    ],
+    ids=["make_gaussian", "make_cdp", "NoiseSpec", "spectral_initialize", "substream",
+         "derive_seed"],
+)
+def test_every_seeded_entry_point_refuses_a_seed_that_is_not_a_count(call, seed):
+    # streams would read "3" as its UTF-8 bytes and True as 1, so a seed is
+    # refused where it enters, and a NoiseSpec's when it is built
+    with pytest.raises(ValueError, match=r"^seed must be"):
+        call(seed)
+
+
+def test_a_numpy_integer_seed_draws_what_the_int_draws():
+    assert np.array_equal(make_gaussian(4, 8, REAL, np.int64(3)).rows,
+                          make_gaussian(4, 8, REAL, 3).rows)
+    assert np.array_equal(substream(np.int64(3), "x").standard_normal(4),
+                          substream(3, "x").standard_normal(4))
+    assert derive_seed(np.int64(3), "x") == derive_seed(3, "x")
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: abs_product_moment("0.5"), "rho"),
+        (lambda: abs_product_moment(True), "rho"),
+        (lambda: CorrelationState("0.5"), "rho"),
+        (lambda: sign_flip_bound(True, 1.0, 0.1), "t"),
+        (lambda: sign_flip_bound(INF, 1.0, 0.1), "t"),
+        (lambda: product_magnitude_density(INF, 0.5), "x_val"),
+        (lambda: product_magnitude_density("1.0", 0.5), "x_val"),
+    ],
+    ids=["moment-str-rho", "moment-bool-rho", "state-str-rho", "bound-bool-t", "bound-inf-t",
+         "density-inf-x", "density-str-x"],
+)
+def test_analysis_arguments_are_checked_not_coerced(call, name):
+    # a flag, a string or inf must not pass for a level or a correlation
+    with pytest.raises(ValueError, match=r"^%s must be" % name):
+        call()

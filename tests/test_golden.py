@@ -145,8 +145,7 @@ def test_csv_experiment_fingerprint(name, tmp_path, monkeypatch):
     path = name + ".csv"
     cfg = ExperimentConfig(experiment=name, output_path=path, **CONFIGS[name]).validate()
     execute(cfg)
-    ignore = ("mean_seconds",) if name == "convergence_race" else ()
-    assert _digest(csv_fingerprint(path, ignore_columns=ignore)) == GOLDEN[name]
+    assert _digest(csv_fingerprint(path)) == GOLDEN[name]
 
 
 @pytest.mark.parametrize("case", sorted(SOLVER_CASES))

@@ -262,16 +262,20 @@ def test_csv_fingerprint_drops_timestamp(tmp_path):
 
 
 def test_csv_fingerprint_masks_columns(tmp_path):
-    t1 = _demo_table()
-    t2 = _demo_table()
-    t2.rows[0]["v"] = 42.0
-    a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
-    write_csv(t1, a)
-    write_csv(t2, b)
-    assert csv_fingerprint(a) != csv_fingerprint(b)
-    assert csv_fingerprint(a, ignore_columns=("v",)) == csv_fingerprint(
-        b, ignore_columns=("v",)
-    )
+    # a *_seconds column is wall clock and masked; every other column counts
+    def fingerprint(tag, v, solve_seconds):
+        table = _demo_table()
+        table.columns += ("solve_seconds",)
+        for row in table.rows:
+            row["solve_seconds"] = 0.5
+        table.rows[0].update(v=v, solve_seconds=solve_seconds)
+        path = str(tmp_path / (tag + ".csv"))
+        write_csv(table, path)
+        return csv_fingerprint(path)
+
+    first = fingerprint("a", 0.1, 1.5)
+    assert fingerprint("b", 42.0, 1.5) != first
+    assert fingerprint("c", 0.1, 42.0) == first
 
 
 def _demo_with(meta=None, name="a"):
