@@ -86,14 +86,14 @@ def product_magnitude_density(x_val, rho):
     psi(x) = (pi sqrt(1-rho^2))^{-1} (e^{rho x/(1-rho^2)}
              + e^{-rho x/(1-rho^2)}) K0(x/(1-rho^2)),
     evaluated through the scaled Bessel so large rho x does not overflow.
-    ValueError unless x_val is positive and finite (not a bool) and |rho| < 1.
+    ValueError unless x_val is positive and finite and rho a number, |rho| < 1.
     """
     from scipy.special import k0e
 
     x_val = _level(x_val, "x_val")
+    if not (_is_number(rho) and abs(rho) < 1):  # the negated test also rejects NaN
+        raise ValueError("rho must be in the open interval (-1, 1)")
     rho = float(rho)
-    if not abs(rho) < 1:  # the negated test also rejects NaN
-        raise ValueError("density needs |rho| < 1 (degenerate at |rho| = 1)")
     q = 1.0 - rho * rho
     s = x_val / q
     scaled = math.exp((rho - 1.0) * s) + math.exp((-rho - 1.0) * s)

@@ -156,9 +156,10 @@ class Ensemble:
         return float(self.row_sqnorms()[self._check_row(i)])
 
     def _check_rows(self, idx):
-        """idx as an intp array; IndexError unless every entry is an
-        integer in [0, m)."""
+        """idx as a 1-D intp array of integers in [0, m), else IndexError."""
         idx = np.asarray(idx)
+        if idx.ndim != 1:
+            raise IndexError("row indices must be a 1-D sequence")
         if idx.size and idx.dtype.kind not in "iu":
             raise IndexError("row indices must be integers")
         idx = idx.astype(np.intp, copy=False)
@@ -167,7 +168,7 @@ class Ensemble:
         return idx
 
     def block_rows(self, idx):
-        """Rows a_i for i in idx, stacked (len(idx), n)."""
+        """Rows a_i for i in the 1-D index idx, stacked (len(idx), n)."""
         raise NotImplementedError
 
     def block_apply(self, idx, z):

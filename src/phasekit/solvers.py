@@ -19,10 +19,13 @@ uses.
 
 Each update formula lives in one private kernel that changes z in place:
 the public step functions apply it to a copy of z, run() to its iterate.
-A single-sample update is two BLAS level-1 calls from scipy: dot (dotc in
-the complex field) for a_i^* z, then axpy for z + (-c step) a_i, which
-rounds each entry once (a fused multiply-add).  run() takes Gaussian rows
-from a list of row views built once per run, which indexes in about a
+A single-sample update is one loop for both fields: dot (dotc when
+complex) for t = a_i^* z, then axpy for z + (-c step) a_i with c = t -
+y_i t/|t| (t at t = 0), which rounds each entry once (a fused
+multiply-add).  The dense block projection runs on scipy's BLAS and LAPACK
+alone (gemv, syrk or herk, potrf, pocon, potrs) over the Fortran-ordered
+transpose of its rows, so one thread pool serves it.  run() takes Gaussian
+rows from a list of row views built once per run, which indexes in about a
 third of the time of the 2-D array.
 """
 
@@ -158,29 +161,20 @@ def _sample_updates(z, idx, y, steps, row):
     """z -= steps[i] (a_i^* z - y_i ph(a_i^* z)) a_i for each i of idx, in
     order; row(i) is a_i.  Returns z, updated in place (axpy writes into a
     contiguous float64/complex128 z).  run() passes y and steps as Python
-    lists.  A complex z takes the complex routines, which cast real rows.
-    axpy takes n and the scale positionally: passing a= by keyword slows
-    f2py's argument parsing by about a fifth of a pass at n=256, m=2n."""
-    n = z.shape[0]
+    lists.  A complex z takes zdotc, which conjugates a_i, and zaxpy; both
+    cast real rows.  axpy takes n and the scale positionally: passing a= by
+    keyword slows f2py's argument parsing by a fifth of a pass at n=256, m=2n."""
     if np.iscomplexobj(z):
-        # zdotc conjugates its first argument
         from scipy.linalg.blas import zaxpy as axpy, zdotc as dot
-
-        for i in idx:
-            a = row(i)
-            t = dot(a, z)
-            r = abs(t)
-            c = t - y[i] * (t / r if r > 0 else 0.0)
-            z = axpy(a, z, n, -(c * steps[i]))
     else:
         from scipy.linalg.blas import daxpy as axpy, ddot as dot
-
-        for i in idx:
-            a = row(i)
-            t = dot(a, z)
-            # t - y sign(t), with sign(0) = 0
-            c = t - y[i] if t > 0 else (t + y[i] if t < 0 else t)
-            z = axpy(a, z, n, -(c * steps[i]))
+    n = z.shape[0]
+    for i in idx:
+        a = row(i)
+        t = dot(a, z)
+        # a real t/|t| is +-1.0 exactly, so c is t -+ y bit for bit
+        c = t - y[i] * (t / abs(t)) if t else t
+        z = axpy(a, z, n, -(c * steps[i]))
     return z
 
 
@@ -205,12 +199,14 @@ def _block_projection(z, gamma, y, A):
     """z -= A_G^*(A_G A_G^*)^-1 (A_G z - y_G . ph(A_G z)), the dense block
     projection; gamma holds distinct in-range indices, at most n of them.
     Raises LinAlgError as block_kaczmarz_step documents."""
-    from scipy.linalg import cho_solve, get_lapack_funcs
+    from scipy.linalg import cho_solve, get_blas_funcs, get_lapack_funcs
 
-    B = A.block_rows(gamma)  # rows a_i
-    resid = _amplitude_residual(rows_apply(B, z), y[gamma])
-    M = np.conj(B) if np.iscomplexobj(B) else B  # A_G
-    G = M @ B.T  # A_G A_G^*; B @ B.T (one SYRK) for real rows
+    Bt = A.block_rows(gamma).T  # columns a_i, Fortran-ordered: no copy for BLAS
+    gemv = get_blas_funcs("gemv", (Bt, z))  # complex for a complex z on real rows
+    rk = get_blas_funcs("herk" if Bt.dtype.kind == "c" else "syrk", (Bt,))
+    resid = _amplitude_residual(gemv(1.0, Bt, z, trans=2), y[gamma])  # trans=2: Bt^* z
+    G = rk(1.0, Bt, trans=2)  # A_G A_G^* in the upper triangle; the lower one is 0
+    G += np.triu(G, 1).T.conj()  # mirrored, so pocon's 1-norm reads the whole matrix
     potrf, pocon = get_lapack_funcs(("potrf", "pocon"), (G,))
     c, info = potrf(G)
     if info == 0:
@@ -218,7 +214,8 @@ def _block_projection(z, gamma, y, A):
     # the negated test also rejects a NaN estimate
     if info != 0 or not rcond * BLOCK_CONDITION_LIMIT >= 1:
         raise np.linalg.LinAlgError("degenerate block")
-    z -= B.T @ cho_solve((c, False), resid, check_finite=False)
+    # a separate subtraction: a beta=1 gemv into z rounds differently
+    z -= gemv(1.0, Bt, cho_solve((c, False), resid, check_finite=False))
     return z
 
 
@@ -257,7 +254,7 @@ def kaczmarz_step(z, i, y, A):
 
 
 def _check_block(gamma, A):
-    gamma = A._check_rows(gamma).ravel()
+    gamma = A._check_rows(np.ravel(gamma))  # a scalar or nested block passes
     if gamma.size == 0:
         raise ValueError("empty index block")
     if np.unique(gamma).size != gamma.size:

@@ -1,13 +1,15 @@
-"""The domain of every count, level and correlation the public API takes.
+"""The domain of every count, level, correlation and row index the public
+API takes.
 
 A count is an integer at or above its minimum (numpy integers pass, bools
 do not); a level is a finite number above 0, or at least 0 where a zero
-level is allowed; a correlation is a number with |rho| <= 1 + 1e-12.
-Seeds are counts from 0 at every entry point that takes one.  Each row of
-the table names one argument or config field, the rule it follows, the
-error it documents, and a call that passes a value to it alone.  Outside
-the domain the call must raise that error, naming the argument; at its
-edge it must not raise.
+level is allowed; a correlation is a number with |rho| <= 1 + 1e-12, and
+the density's open one a number with |rho| < 1; a row index is an integer
+in [0, m), and a block of them a 1-D sequence of such.  Seeds are counts
+from 0 at every entry point that takes one.  Each row of the table names
+one argument or config field, the rule it follows, the error it documents,
+and a call that passes a value to it alone.  Outside the domain the call
+must raise that error, naming the argument; at its edge it must not raise.
 """
 
 import re
@@ -27,6 +29,7 @@ from phasekit import (
     abs_product_moment,
     from_descriptor,
     irwf_step,
+    kaczmarz_step,
     make_cdp,
     make_gaussian,
     measure,
@@ -44,6 +47,7 @@ NAN, INF = float("nan"), float("inf")
 _A = make_gaussian(4, 12, REAL, 0)
 _X = random_signal(4, REAL, substream(1))
 _Y = measure(_A, _X)
+_C = make_cdp(4, 2, 0)
 
 
 def _experiment(**kwargs):
@@ -65,6 +69,11 @@ def _levels(zero_ok=False, least=5e-324):
 
 
 _CORRELATION = ("correlation", None, None)
+_OPEN_CORRELATION = ("open correlation", None, None)
+
+
+def _indices(m):
+    return ("index", m, None)
 
 
 # (row id, rule, documented error, name in the message, call with the value)
@@ -145,6 +154,22 @@ DOMAIN = [
      lambda v: sign_flip_bound(0.1, 10.0, v)),
     ("product_magnitude_density.x_val", _levels(), ValueError, "x_val",
      lambda v: product_magnitude_density(v, 0.5)),
+    ("product_magnitude_density.rho", _OPEN_CORRELATION, ValueError, "rho",
+     lambda v: product_magnitude_density(1.0, v)),
+    # a block is a 1-D sequence of row indices: each value enters as [v]
+    ("GaussianEnsemble.row", _indices(12), IndexError, "row index", lambda v: _A.row(v)),
+    ("GaussianEnsemble.row_sqnorm", _indices(12), IndexError, "row index",
+     lambda v: _A.row_sqnorm(v)),
+    ("GaussianEnsemble.block_rows", _indices(12), IndexError, "row index",
+     lambda v: _A.block_rows([v])),
+    ("CDPEnsemble.row", _indices(8), IndexError, "row index", lambda v: _C.row(v)),
+    ("CDPEnsemble.row_sqnorm", _indices(8), IndexError, "row index",
+     lambda v: _C.row_sqnorm(v)),
+    ("CDPEnsemble.block_rows", _indices(8), IndexError, "row index",
+     lambda v: _C.block_rows([v])),
+    ("irwf_step.i", _indices(12), IndexError, "row index", lambda v: irwf_step(_X, v, _Y, _A)),
+    ("kaczmarz_step.i", _indices(12), IndexError, "row index",
+     lambda v: kaczmarz_step(_X, v, _Y, _A)),
 ]
 IDS = [row[0] for row in DOMAIN]
 
@@ -159,6 +184,14 @@ _ALWAYS_BAD = st.one_of(
 def _invalid(rule):
     """Strategy for values the rule refuses."""
     kind, bound, _ = rule
+    if kind == "open correlation":
+        beyond = st.one_of(st.floats(min_value=1.0), st.integers(1))
+        return st.one_of(_ALWAYS_BAD, beyond, beyond.map(lambda r: -r))
+    if kind == "index":
+        # out of range on either side, as Python and as numpy integers
+        beyond = st.one_of(st.integers(max_value=-1), st.integers(min_value=bound))
+        beyond_np = st.one_of(st.integers(-(2**63), -1), st.integers(bound, 2**63 - 1))
+        return st.one_of(_ALWAYS_BAD, st.floats(), st.none(), beyond, beyond_np.map(np.int64))
     if kind == "correlation":
         beyond = st.one_of(st.floats(min_value=1.0 + 1e-12, exclude_min=True), st.integers(2))
         return st.one_of(_ALWAYS_BAD, beyond, beyond.map(lambda r: -r))
@@ -174,6 +207,11 @@ def _invalid(rule):
 def _valid(rule):
     """Values at the edge of the rule's domain, numpy scalars included."""
     kind, bound, least = rule
+    if kind == "open correlation":
+        edge = 1.0 - 2.0**-52
+        return [edge, -edge, 0, 0.0, np.float32(0.5), np.int64(0)]
+    if kind == "index":
+        return [0, bound - 1, np.int64(bound - 1), np.uint16(0)]
     if kind == "correlation":
         return [1, -1, 1.0 + 1e-13, -1.0 - 1e-13, 0, np.float32(0.5), np.int64(-1)]
     if kind == "count":
@@ -191,7 +229,9 @@ def test_outside_the_domain_raises_the_documented_error(row, data):
         call(value)
     # ConfigError is a ValueError, so a bare ValueError from a config would pass above
     assert type(info.value) is error
-    assert re.search(r"(^|[^\w])%s must be" % re.escape(name), str(info.value)), str(info.value)
+    # an index message names the index ("row index 2.5 is not an integer")
+    pattern = r"^row ind(ex|ices) " if rule[0] == "index" else r"(^|[^\w])%s must be" % re.escape(name)
+    assert re.search(pattern, str(info.value)), str(info.value)
 
 
 @pytest.mark.parametrize("row", DOMAIN, ids=IDS)
@@ -266,9 +306,11 @@ def test_a_numpy_integer_seed_draws_what_the_int_draws():
         (lambda: sign_flip_bound(INF, 1.0, 0.1), "t"),
         (lambda: product_magnitude_density(INF, 0.5), "x_val"),
         (lambda: product_magnitude_density("1.0", 0.5), "x_val"),
+        (lambda: product_magnitude_density(1.0, "0.5"), "rho"),
+        (lambda: product_magnitude_density(1.0, None), "rho"),
     ],
     ids=["moment-str-rho", "moment-bool-rho", "state-str-rho", "bound-bool-t", "bound-inf-t",
-         "density-inf-x", "density-str-x"],
+         "density-inf-x", "density-str-x", "density-str-rho", "density-none-rho"],
 )
 def test_analysis_arguments_are_checked_not_coerced(call, name):
     # a flag, a string or inf must not pass for a level or a correlation

@@ -221,6 +221,20 @@ def test_cdp_rows_match_fft_apply_at_large_n():
         assert abs(np.vdot(A.row(int(i)), z) - fz[i]) <= 1e-13 * abs(fz[i])
 
 
+def test_block_rows_take_a_one_dimensional_index_only():
+    # a nested index once stacked (2, 2, n) rows, and a scalar one gave a
+    # bare row; both are refused, so every block is (len(idx), n)
+    for A in (make_gaussian(4, 8, REAL, seed=4), make_cdp(4, 2, seed=4)):
+        for bad in ([[1, 2], [3, 4]], 3, np.int64(3), np.zeros((0, 2), dtype=int)):
+            with pytest.raises(IndexError, match="1-D"):
+                A.block_rows(bad)
+            with pytest.raises(IndexError, match="1-D"):
+                A.block_apply(bad, np.ones(4))
+            with pytest.raises(IndexError, match="1-D"):
+                A.block_adjoint(bad, np.ones(4))
+        assert A.block_rows([1, 2, 3]).shape == (3, 4)
+
+
 def test_cdp_block_rows_stack_rows():
     A = make_cdp(12, 3, seed=4)
     idx = [35, 0, 13, 12, 11]

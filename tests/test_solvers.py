@@ -227,6 +227,25 @@ def test_irwf_step_orthogonal_row_is_noop():
     assert np.array_equal(irwf_step(z, 0, y, A, step=0.3), z)
 
 
+@pytest.mark.parametrize("zero", [0.0, -0.0], ids=["plus-zero", "minus-zero"])
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+def test_irwf_step_orthogonal_row_keeps_every_bit(field, zero):
+    # a_i^* z is exactly zero, from a signed zero entry of z and from a
+    # cancelling pair; one rule c = t - y t/|t| (c = t at t = 0) serves
+    # both fields, and it must leave z as it was, signed zeros included
+    unit = 1 + 1j if field == COMPLEX else 1.0
+    y = Measurements(np.array([2.5]))
+    for row, z in (
+        ([1.0, 0.0, 0.0, 0.0], [zero, 1.0, -2.0, 3.0]),
+        ([1.0, 1.0, 0.0, 0.0], [1.0, -1.0, zero, 3.0]),
+    ):
+        A = from_rows(np.array([row]) * unit)
+        z = np.array(z) * unit
+        if field == COMPLEX:
+            z[z == 0] = complex(zero, zero)
+        assert irwf_step(z, 0, y, A, step=0.3).tobytes() == z.tobytes()
+
+
 def test_irwf_step_index_errors():
     A, x, y = _instance(4, 8, REAL, seed=34)
     with pytest.raises(IndexError):
@@ -340,6 +359,15 @@ def test_minibatch_invalid_blocks():
             block_kaczmarz_step(x, bad, y, A)
 
 
+def test_block_steps_ravel_a_scalar_or_nested_block():
+    # the step functions flatten a block before the ensemble's 1-D check
+    A, x, y = _instance(6, 12, REAL, seed=41)
+    z = random_signal(6, REAL, substream(411))
+    for step in (minibatch_irwf_step, block_kaczmarz_step):
+        assert np.array_equal(step(z, 3, y, A), step(z, [3], y, A))
+        assert np.array_equal(step(z, [[1, 4], [7, 9]], y, A), step(z, [1, 4, 7, 9], y, A))
+
+
 @pytest.mark.parametrize("field", [REAL, COMPLEX])
 def test_block_kaczmarz_fits_the_block(field):
     A, x, y = _instance(16, 48, field, seed=42)
@@ -388,6 +416,19 @@ def test_block_kaczmarz_matches_pseudoinverse(field):
     fz = AG @ z
     want = z - np.linalg.pinv(AG) @ (fz - y.values[gamma] * phase(fz))
     got = block_kaczmarz_step(z, gamma, y, A)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_block_kaczmarz_complex_start_on_real_rows_matches_pseudoinverse():
+    # the projection takes its BLAS type from z, so Im(z) is projected too
+    A, x, y = _instance(20, 80, REAL, seed=49)
+    z = random_signal(20, COMPLEX, substream(491))
+    gamma = np.array([5, 17, 2, 60, 33, 71, 9, 44, 28, 50, 13])
+    AG = A.materialize()[gamma]
+    fz = AG @ z
+    want = z - np.linalg.pinv(AG) @ (fz - y.values[gamma] * phase(fz))
+    got = block_kaczmarz_step(z, gamma, y, A)
+    assert got.dtype == np.complex128
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
