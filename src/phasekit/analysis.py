@@ -58,6 +58,12 @@ class CorrelationState:
         _level(self.norm_z, "norm_z", zero_ok=True)
 
 
+def _state(state):
+    if not isinstance(state, CorrelationState):
+        raise TypeError("state must be a CorrelationState, not %s" % type(state).__name__)
+    return state
+
+
 def abs_product_moment(rho):
     """E|uv| for a standard-normal pair with correlation rho (_correlation's rule)."""
     rho = _correlation(rho)
@@ -66,16 +72,16 @@ def abs_product_moment(rho):
 
 
 def expected_rwf_loss(state):
-    """Population amplitude loss at the given correlation state."""
-    nx, nz = state.norm_x, state.norm_z
+    """Population amplitude loss at the given state (TypeError unless a CorrelationState)."""
+    nx, nz = _state(state).norm_x, state.norm_z
     if nz == 0:
         return 0.5 * nx * nx
     return 0.5 * nx * nx + 0.5 * nz * nz - nx * nz * abs_product_moment(state.rho)
 
 
 def expected_wf_loss(state):
-    """Population intensity loss (real field) at the given state."""
-    nx2 = state.norm_x**2
+    """Population intensity loss (real field) at the given state (TypeError as above)."""
+    nx2 = _state(state).norm_x**2
     nz2 = state.norm_z**2
     return 0.75 * nx2 * nx2 + 0.75 * nz2 * nz2 - 0.5 * nx2 * nz2 - state.rho**2 * nx2 * nz2
 
@@ -122,10 +128,11 @@ def monte_carlo_expected_rwf_loss(state, samples, seed):
 
     Draws correlated standard-normal pairs and averages
     0.5 (||z|| |u| - ||x|| |v|)^2.  Returns (estimate, standard_error).
-    ValueError unless samples is an integer >= 1000 (not a bool).
+    ValueError unless samples is an integer >= 1000 (not a bool), and
+    TypeError unless state is a CorrelationState.
     """
     samples = _count(samples, "samples", 1000)
-    rho = state.rho
+    rho = _state(state).rho
     nx, nz = state.norm_x, state.norm_z
     rng = substream(seed, "mc-loss")
     comp = math.sqrt(max(0.0, 1.0 - rho * rho))

@@ -7,7 +7,8 @@ error metrics here are taken modulo a global phase.
 
 Convention used repo-wide: the inner product conjugates its second
 argument, <u, w> = sum_j u_j * conj(w_j).  All norms are Euclidean and all
-scalars are double precision.
+scalars are double precision.  Every vector argument in the library
+passes as_signal, the one vector rule.
 """
 
 import math
@@ -46,21 +47,26 @@ def _level(value, name, zero_ok=False, error=ValueError):
     return float(value)
 
 
-def as_signal(x):
-    """Validate and return x as a 1-D float64/complex128 signal.
+def _numeric(x, name):
+    """np.asarray(x); ValueError unless its dtype is bool, int, float or complex."""
+    a = np.asarray(x)
+    if a.dtype.kind not in "biufc":
+        raise ValueError("%s must be numeric, not dtype %s" % (name, a.dtype))
+    return a
 
-    Complex input stays complex and anything else becomes float64.  Rejects
-    empty and non-finite input.
-    """
-    z = np.asarray(x)
+
+def as_signal(x, n=None, name="signal", finite=True):
+    """x as a 1-D float64 vector (complex128 if x is complex).  ValueError,
+    its message starting with name, for a non-numeric dtype, a shape other
+    than nonempty 1-D, a length other than n, or (if finite) NaN or inf."""
+    z = _numeric(x, name)
     if z.ndim != 1 or z.size == 0:
-        raise ValueError("signal must be a nonempty 1-D vector")
-    if np.iscomplexobj(z):
-        z = z.astype(np.complex128, copy=False)
-    else:
-        z = z.astype(np.float64, copy=False)
-    if not np.all(np.isfinite(z)):
-        raise ValueError("signal contains non-finite entries")
+        raise ValueError("%s must be a nonempty 1-D vector" % name)
+    if n is not None and z.size != n:
+        raise ValueError("%s must be of matching length %d, not %d" % (name, n, z.size))
+    z = z.astype(np.complex128 if z.dtype.kind == "c" else np.float64, copy=False)
+    if finite and not np.isfinite(z).all():
+        raise ValueError("%s must be free of non-finite entries" % name)
     return z
 
 
@@ -82,25 +88,23 @@ def phase(v):
 
     Real input uses sign (sign(0) = 0), so the nonsmooth point of the
     amplitude loss contributes a zero term rather than NaN.  NaN in, NaN
-    out: a NaN entry gives a NaN phase and raises nothing.
+    out: a NaN entry gives a NaN phase and raises nothing.  Any shape; a
+    bool reads as 0 or 1, and a non-numeric dtype raises ValueError.
     """
-    v = np.asarray(v)
-    if np.iscomplexobj(v):
+    v = _numeric(v, "v")
+    if v.dtype.kind == "c":
         mag = np.abs(v)
         return np.divide(v, mag, out=np.zeros_like(v), where=mag > 0)
-    return np.sign(v)
+    return np.sign(v.astype(np.float64) if v.dtype.kind == "b" else v)  # no bool loop
 
 
-def _check_pair(z, x):
-    z = np.asarray(z)
-    x = np.asarray(x)
-    if z.shape != x.shape or z.ndim != 1:
-        raise ValueError("signals must be 1-D with matching length")
-    if np.iscomplexobj(z) != np.iscomplexobj(x):
-        raise ValueError("signals must live in the same field")
-    # in double precision, so integer input cannot wrap in the dot products
-    dtype = np.complex128 if np.iscomplexobj(z) else np.float64
-    return z.astype(dtype, copy=False), x.astype(dtype, copy=False)
+def _check_pair(z, x, name="x"):
+    """z and x as signals of z's length and one field, NaN allowed (x named name)."""
+    z = as_signal(z, name="z", finite=False)
+    x = as_signal(x, z.size, name, finite=False)
+    if (z.dtype.kind == "c") != (x.dtype.kind == "c"):
+        raise ValueError("%s must be in the same field as z" % name)
+    return z, x
 
 
 def best_phase(z, x):
@@ -148,6 +152,7 @@ def relative_error(z, x):
 
     NaN in, NaN out, as for dist_up_to_phase; ValueError for a zero x.
     """
+    z, x = _check_pair(z, x)
     nx = np.linalg.norm(x)
     if nx == 0:
         raise ValueError("relative error undefined for zero reference signal")
@@ -168,10 +173,11 @@ def intensity_loss(fz, y):
 
 
 def rwf_loss(z, y, A):
-    """Amplitude loss (1/2m) sum (|a_i^* z| - y_i)^2 of iterate z."""
-    return amplitude_loss(A.apply(z), np.asarray(y.values))
+    """Amplitude loss (1/2m) sum (|a_i^* z| - y_i)^2 of iterate z, for y
+    A's Measurements (A._check_measurements).  NaN in z gives NaN out."""
+    return amplitude_loss(A.apply(z), A._check_measurements(y))
 
 
 def wf_loss(z, y, A):
-    """Intensity loss (1/4m) sum (|a_i^* z|^2 - y_i^2)^2 of iterate z."""
-    return intensity_loss(A.apply(z), np.asarray(y.values))
+    """Intensity loss (1/4m) sum (|a_i^* z|^2 - y_i^2)^2 of z; y and NaN as for rwf_loss."""
+    return intensity_loss(A.apply(z), A._check_measurements(y))

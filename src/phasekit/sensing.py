@@ -16,6 +16,9 @@ Measurements are magnitudes y_i = |a_i^* x|, optionally corrupted by
 additive bounded noise or by a Poisson count model y_i =
 sqrt(alpha * Poisson(|a_i^* x|^2 / alpha)) whose second moment matches the
 clean intensity.
+
+Every vector an ensemble takes passes core.as_signal at its length, NaN
+allowed; Ensemble._check_measurements is the one rule for a y.
 """
 
 from dataclasses import dataclass, field
@@ -43,7 +46,8 @@ class Measurements:
 
     provenance is one of 'clean', 'bounded', 'poisson'; noise_meta carries
     the noise scale actually applied (and for bounded noise, how many
-    entries were clipped at zero).
+    entries were clipped at zero).  values follows core.as_signal, and
+    must also be real and nonnegative (ValueError).
     """
 
     values: np.ndarray
@@ -51,13 +55,9 @@ class Measurements:
     noise_meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 1 or v.size == 0:
-            raise ValueError("measurements must be a nonempty 1-D vector")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("measurements contain non-finite values")
-        if np.any(v < 0):
-            raise ValueError("measurements must be nonnegative")
+        v = as_signal(self.values, name="measurements")
+        if v.dtype.kind == "c" or np.any(v < 0):
+            raise ValueError("measurements must be real and nonnegative")
         if self.provenance not in ("clean", "bounded", "poisson"):
             raise ValueError("unknown provenance %r" % self.provenance)
         object.__setattr__(self, "values", v)
@@ -132,17 +132,14 @@ class Ensemble:
     # subclasses implement: apply, adjoint_apply, row, block_rows,
     # row_sqnorms, row_l1_sum, materialize
 
-    def _check_signal(self, z):
-        z = np.asarray(z)
-        if z.shape != (self.n,):
-            raise ValueError("signal length %s does not match n=%d" % (z.shape, self.n))
-        return z
-
-    def _check_meas(self, v):
-        v = np.asarray(v)
-        if v.shape != (self.m,):
-            raise ValueError("vector length %s does not match m=%d" % (v.shape, self.m))
-        return v
+    def _check_measurements(self, y):
+        """y.values for Measurements y of this ensemble's m; TypeError for
+        anything else (a bare array too), ValueError for another m."""
+        if not isinstance(y, Measurements):
+            raise TypeError("y must be Measurements, not %s" % type(y).__name__)
+        if y.m != self.m:
+            raise ValueError("y must be of measurement count m=%d, not %d" % (self.m, y.m))
+        return y.values
 
     def _check_row(self, i):
         # numpy would index with a bool as a mask and refuse a float
@@ -173,12 +170,12 @@ class Ensemble:
 
     def block_apply(self, idx, z):
         """(A z)_Gamma for an index block Gamma."""
-        return rows_apply(self.block_rows(idx), self._check_signal(z))
+        return rows_apply(self.block_rows(idx), as_signal(z, self.n, "z", finite=False))
 
     def block_adjoint(self, idx, u):
         """sum_{i in Gamma} u_i a_i."""
         B = self.block_rows(idx)
-        return B.T @ np.asarray(u)
+        return B.T @ as_signal(u, B.shape[0], "u", finite=False)
 
     def descriptor(self):
         raise NotImplementedError
@@ -195,11 +192,10 @@ class GaussianEnsemble(Ensemble):
         self._sqnorms = None
 
     def apply(self, z):
-        return rows_apply(self.rows, self._check_signal(z))
+        return rows_apply(self.rows, as_signal(z, self.n, "z", finite=False))
 
     def adjoint_apply(self, v):
-        v = self._check_meas(v)
-        return self.rows.T @ v
+        return self.rows.T @ as_signal(v, self.m, "v", finite=False)
 
     def row(self, i):
         return self.rows[self._check_row(i)]
@@ -249,20 +245,21 @@ class CDPEnsemble(Ensemble):
         self._twiddle_conj = np.exp(2j * np.pi * np.arange(n) / n)
 
     def apply(self, z):
-        z = self._check_signal(z).astype(np.complex128, copy=False)
+        # the complex masks cast a real z, and the FFTs a real v, to complex128
+        z = as_signal(z, self.n, "z", finite=False)
         return np.fft.fft(self.masks * z[None, :], axis=1).ravel()
 
     def adjoint_apply(self, v):
-        V = self._check_meas(v).astype(np.complex128, copy=False).reshape(self.L, self.n)
+        V = as_signal(v, self.m, "v", finite=False).reshape(self.L, self.n)
         # F^H u = n * ifft(u) under the unnormalized transform
         return (self._masks_conj * (self.n * np.fft.ifft(V, axis=1))).sum(axis=0)
 
     def mask_apply(self, l, z):
         """The n measurements of mask l alone."""
-        return np.fft.fft(self.masks[l] * np.asarray(z, dtype=np.complex128))
+        return np.fft.fft(self.masks[l] * as_signal(z, self.n, "z", finite=False))
 
     def mask_adjoint(self, l, u):
-        return self._masks_conj[l] * (self.n * np.fft.ifft(np.asarray(u, dtype=np.complex128)))
+        return self._masks_conj[l] * (self.n * np.fft.ifft(as_signal(u, self.n, "u", finite=False)))
 
     def row(self, i):
         l, k = divmod(self._check_row(i), self.n)
@@ -342,16 +339,14 @@ def from_rows(rows, seed=None):
     """Ensemble with explicitly given rows a_i (handy for small examples).
 
     rows is one row (1-D) or a stack of them (2-D) with finite entries;
-    ValueError for any other shape, for no rows or no columns, and for a
-    NaN or infinite entry.
+    ValueError for any other shape, for no rows or no columns, and, by
+    core.as_signal's rule, for a non-numeric dtype or a NaN or infinite entry.
     """
-    rows = np.atleast_2d(np.asarray(rows))
+    rows = np.atleast_2d(rows)
     if rows.ndim != 2 or rows.size == 0:
         raise ValueError("rows must be a nonempty 1-D or 2-D array")
-    rows = rows.astype(np.complex128 if np.iscomplexobj(rows) else np.float64)
-    if not np.all(np.isfinite(rows)):
-        raise ValueError("rows contain non-finite entries")
-    return GaussianEnsemble(rows, seed)
+    # a copy, so the ensemble never shares the caller's array
+    return GaussianEnsemble(as_signal(rows.ravel(), name="rows").reshape(rows.shape).copy(), seed)
 
 
 def from_descriptor(d):
@@ -366,16 +361,14 @@ def from_descriptor(d):
 
 
 def measure(A, x, noise=None):
-    """Magnitude measurements of x through A, with optional noise."""
-    x = as_signal(x)
-    mag = np.abs(A.apply(x))
+    """Magnitude measurements of x through A, with optional noise; x and a
+    given w follow core.as_signal at lengths n and m, and w must be real."""
+    mag = np.abs(A.apply(as_signal(x, A.n, "x")))
     if noise is None or noise.kind == "none":
         return Measurements(mag, "clean", {})
     if noise.kind == "bounded":
         if noise.w is not None:
-            w = np.asarray(noise.w, dtype=np.float64)
-            if w.shape != mag.shape:
-                raise ValueError("noise vector length does not match m")
+            w = as_signal(noise.w, A.m, "w")
         else:
             g = substream(noise.seed, "bounded-noise").standard_normal(A.m)
             w = g * (noise.level * np.sqrt(A.m) / np.linalg.norm(g))

@@ -19,14 +19,13 @@ uses.
 
 Each update formula lives in one private kernel that changes z in place:
 the public step functions apply it to a copy of z, run() to its iterate.
-A single-sample update is one loop for both fields: dot (dotc when
-complex) for t = a_i^* z, then axpy for z + (-c step) a_i with c = t -
-y_i t/|t| (t at t = 0), which rounds each entry once (a fused
-multiply-add).  The dense block projection runs on scipy's BLAS and LAPACK
-alone (gemv, syrk or herk, potrf, pocon, potrs) over the Fortran-ordered
-transpose of its rows, so one thread pool serves it.  run() takes Gaussian
-rows from a list of row views built once per run, which indexes in about a
-third of the time of the 2-D array.
+_sample_updates is one BLAS dot/axpy loop for both fields, and
+_block_projection runs on scipy's BLAS and LAPACK alone, so one thread pool
+serves it.  run() takes Gaussian rows from a list of row views built once
+per run, which indexes in about a third of the time of the 2-D array.
+
+z (z0 and x_opt in run) follows core.as_signal at length n, and y
+Ensemble._check_measurements; a step or gradient maps a NaN in z to NaN.
 """
 
 import math
@@ -134,17 +133,12 @@ class RunTrace:
         return None
 
 
-def _checked_copy(z, y, A):
-    """z as a new float64/complex128 vector after checking y and z against A.
-    Non-finite entries pass: the step functions take z as given (run()
-    refuses a non-finite z0 in as_signal before it calls this)."""
-    if y.m != A.m:
-        raise ValueError("measurement count does not match ensemble")
-    cplx = A.field == COMPLEX or np.iscomplexobj(z)
-    z = np.array(z, dtype=np.complex128 if cplx else np.float64)
-    if z.shape != (A.n,):
-        raise ValueError("signal length does not match n")
-    return z
+def _checked_copy(z, y, A, name="z", finite=False):
+    """(a float64/complex128 copy of z, complex on complex rows, y.values)
+    after checking y and z against A; NaN in z passes unless finite."""
+    yv = A._check_measurements(y)
+    z = as_signal(z, A.n, name, finite)
+    return np.array(z, dtype=np.complex128 if A.field == COMPLEX else None), yv
 
 
 def _amplitude_residual(fz, y):
@@ -220,32 +214,32 @@ def _block_projection(z, gamma, y, A):
 
 
 def rwf_gradient(z, y, A):
-    """(1/m) A^*(A z - y . ph(A z)), the amplitude-loss search direction."""
-    z = _checked_copy(z, y, A)
-    return A.adjoint_apply(_amplitude_residual(A.apply(z), y.values)) / A.m
+    """(1/m) A^*(A z - y . ph(A z)), the amplitude-loss direction; NaN in, NaN out."""
+    z, yv = _checked_copy(z, y, A)
+    return A.adjoint_apply(_amplitude_residual(A.apply(z), yv)) / A.m
 
 
 def wf_gradient(z, y, A):
-    """(1/m) A^*((|A z|^2 - y^2) . A z), the intensity-loss gradient."""
-    z = _checked_copy(z, y, A)
-    return A.adjoint_apply(_intensity_residual(A.apply(z), y.values)) / A.m
+    """(1/m) A^*((|A z|^2 - y^2) . A z), the intensity-loss gradient; NaN in, NaN out."""
+    z, yv = _checked_copy(z, y, A)
+    return A.adjoint_apply(_intensity_residual(A.apply(z), yv)) / A.m
 
 
 def irwf_step(z, i, y, A, step=None):
-    """Single-sample update z - step (a_i^* z - y_i ph(a_i^* z)) a_i.
+    """Single-sample update z - step (a_i^* z - y_i ph(a_i^* z)) a_i; NaN in, NaN out.
 
     step defaults to 1/n; a step that is not positive and finite raises
     ValueError, and an i that is not an integer in [0, m) IndexError.
     """
-    z = _checked_copy(z, y, A)
+    z, yv = _checked_copy(z, y, A)
     step = 1.0 / A.n if step is None else _level(step, "step")
-    return _sample_updates(z, [i], y.values, {i: step}, A.row)  # A.row checks i
+    return _sample_updates(z, [i], yv, {i: step}, A.row)  # A.row checks i
 
 
 def kaczmarz_step(z, i, y, A):
     """Row projection: irwf_step with the data-driven step 1/||a_i||^2.
 
-    After the step the sample is fit exactly: |a_i^* z'| = y_i.
+    After the step the sample is fit exactly: |a_i^* z'| = y_i.  NaN in, NaN out.
     """
     sq = A.row_sqnorm(i)
     if sq == 0:
@@ -267,12 +261,12 @@ def minibatch_irwf_step(z, gamma, y, A, step=None):
 
     step defaults to 1/n; a step that is not positive and finite, or an
     empty or repeating block, raises ValueError, and an index that is not
-    an integer in [0, m) IndexError.
+    an integer in [0, m) IndexError.  NaN in, NaN out.
     """
     gamma = _check_block(gamma, A)
-    z = _checked_copy(z, y, A)
+    z, yv = _checked_copy(z, y, A)
     step = 1.0 / A.n if step is None else _level(step, "step")
-    return _block_update(z, gamma, y.values, A, step)
+    return _block_update(z, gamma, yv, A, step)
 
 
 def _full_mask_block(A, gamma):
@@ -292,19 +286,19 @@ def block_kaczmarz_step(z, gamma, y, A):
     skips the dense solve and runs at FFT cost.  Otherwise A_G A_G^* is
     factored by Cholesky; LinAlgError is raised when the factorization
     fails or its reciprocal condition estimate is below
-    1/BLOCK_CONDITION_LIMIT.
+    1/BLOCK_CONDITION_LIMIT.  NaN in, NaN out.
     """
     gamma = _check_block(gamma, A)
     if gamma.size > A.n:
         raise ValueError("block larger than n cannot have independent rows")
-    z = _checked_copy(z, y, A)
+    z, yv = _checked_copy(z, y, A)
 
     l = _full_mask_block(A, gamma)
     if l is not None:
         # the projection depends on the block as a set, so mask order serves
-        return _mask_projection(z, l, y.values, A)
+        return _mask_projection(z, l, yv, A)
 
-    return _block_projection(z, gamma, y.values, A)
+    return _block_projection(z, gamma, yv, A)
 
 
 def _resolve_batch_step(cfg, A, z0):
@@ -327,10 +321,9 @@ def run(y, A, z0, cfg, x_opt=None):
     (cfg.seed, 'solver') stream; reruns are bit-reproducible.
     """
     cfg.validate(A.m, A.n)
-    z = _checked_copy(as_signal(z0), y, A)
+    z, yv = _checked_copy(z0, y, A, "z0", finite=True)
     alg = cfg.algorithm
     m, n = A.m, A.n
-    yv = y.values
     # only the sampling algorithms draw indices
     rng = None if alg in ("rwf", "wf") else substream(cfg.seed, "solver")
     k = min(cfg.minibatch_k, m)
@@ -349,7 +342,7 @@ def run(y, A, z0, cfg, x_opt=None):
     use_loss = x_opt is None
     if not use_loss:
         # relative_error's checks and ||x_opt||, once per run
-        x_opt = _check_pair(z, as_signal(x_opt))[1]
+        x_opt = _check_pair(z, as_signal(x_opt, n, "x_opt"), "x_opt")[1]
         nx = float(np.linalg.norm(x_opt))
         if nx == 0:
             raise ValueError("relative error undefined for zero reference signal")

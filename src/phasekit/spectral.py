@@ -89,15 +89,14 @@ def estimate_norm(y, A):
     For real Gaussian rows the coefficient concentrates at sqrt(pi/2),
     undoing the E|a^T x| = sqrt(2/pi) ||x|| folding; for unit-modulus
     coded-diffraction rows each ||a_i||_1 = n exactly, so the coefficient
-    is exactly 1 (computed analytically, no rows materialized).  Raises
-    ValueError when y and A differ in measurement count.
+    is exactly 1 (computed analytically, no rows materialized).  y must be
+    A's Measurements (TypeError, or ValueError for another m).
     """
-    if y.m != A.m:
-        raise ValueError("measurement count does not match ensemble")
+    yv = A._check_measurements(y)
     l1 = A.row_l1_sum()
     if l1 <= 0:
         raise ValueError("ensemble has zero total row l1 norm")
-    return float(A.m * A.n / l1 * np.mean(y.values))
+    return float(A.m * A.n / l1 * np.mean(yv))
 
 
 def truncation_weights(values, lambda0):
@@ -180,10 +179,11 @@ def spectral_initialize(y, A, params=None, seed=0):
 
     Lanczos runs to LANCZOS_TOL from a seeded random unit vector in the
     ensemble's field, so runs are reproducible (a dense eigendecomposition
-    from n products when n < 3).  "optimal" raises ValueError when
-    m <= n.  All-zero weights raise EmptyTruncationError; a Lanczos run
-    that does not converge raises scipy's ArpackNoConvergence, for either
-    preprocessing.  ValueError unless seed is an integer >= 0 (not a bool).
+    from n products when n < 3).  y is checked as by estimate_norm, and
+    "optimal" raises ValueError when m <= n.  All-zero weights raise
+    EmptyTruncationError; a Lanczos run that does not converge raises
+    scipy's ArpackNoConvergence.  ValueError unless seed is an integer >= 0
+    (not a bool).
     """
     if params is None:
         params = InitParams()

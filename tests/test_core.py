@@ -15,8 +15,17 @@ from phasekit.core import (
     phase,
     relative_error,
     rwf_loss,
+    wf_loss,
 )
-from phasekit.sensing import Measurements, from_rows
+from phasekit.sensing import Measurements, from_rows, make_cdp
+from phasekit.solvers import (
+    block_kaczmarz_step,
+    irwf_step,
+    kaczmarz_step,
+    minibatch_irwf_step,
+    rwf_gradient,
+    wf_gradient,
+)
 
 finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False)
 
@@ -229,6 +238,16 @@ def test_nan_in_nan_out():
     assert np.isnan(dist_up_to_phase(z, x))
     assert np.isnan(relative_error(z, x))
     assert np.isnan(dist_up_to_phase(z + 0j, x + 0j))
+    # so do the losses, the gradients and the four steps, on real, complex
+    # and coded-diffraction rows; block [0, 1] is a whole CDP mask at n = 2
+    rows = np.array([[1.0, 0.5], [0.0, 1.0], [2.0, -1.0], [1.0, 1.0]])
+    for A in (from_rows(rows), from_rows(rows * (1 - 2j)), make_cdp(2, 2, seed=3)):
+        y = Measurements(np.abs(A.apply(x)))
+        assert np.isnan(rwf_loss(z, y, A)) and np.isnan(wf_loss(z, y, A))
+        for step in (rwf_gradient(z, y, A), wf_gradient(z, y, A), irwf_step(z, 0, y, A),
+                     kaczmarz_step(z, 0, y, A), minibatch_irwf_step(z, [0, 1], y, A),
+                     block_kaczmarz_step(z, [0, 1], y, A)):
+            assert np.isnan(step).all()
 
 
 def test_as_signal_field_rules():
