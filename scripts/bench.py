@@ -33,6 +33,12 @@ Each row keeps the median and min over --reps repeats.  BLAS threads
 default to 1 (an environment setting wins and is recorded), so the rows
 measure the code, not the thread pool.  The run is stored under --label
 in --out, next to the runs already there.
+
+The machine record also holds blas_stall_share, taken before the rows: the
+share of STALL_PRODUCTS back-to-back products of a 2048 x 256 float64
+matrix with a vector that take over STALL_S.  Such a product normally takes
+0.08-0.3 ms; a share above 0 flags a process whose threaded BLAS runs in
+stalled rounds (see the README), and the script warns about it.
 """
 
 import argparse
@@ -62,6 +68,7 @@ from phasekit.streams import substream  # noqa: E402
 
 N, RATIO, PASSES, K = 1000, 8, 3, 64
 OBSERVE_CALLS = 50
+STALL_PRODUCTS, STALL_S = 100, 4e-3
 # the import row's child prints its own peak RSS (KiB on Linux)
 IMPORT_CHILD = "import resource, phasekit; print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)"
 ALGORITHMS = ("rwf", "wf", "irwf", "kaczmarz_pr", "minibatch_irwf", "block_kaczmarz_pr")
@@ -85,6 +92,19 @@ def _blas(module):
         return "unknown"
 
 
+def blas_stall_share():
+    """Share of STALL_PRODUCTS back-to-back 2048 x 256 float64 matrix-vector
+    products, at this process's BLAS thread count, that take over STALL_S."""
+    M = substream(0, "stall-probe").standard_normal((2048, 256))
+    v = np.ones(256)
+    slow = 0
+    for _ in range(STALL_PRODUCTS):
+        t0 = time.perf_counter()
+        M @ v
+        slow += time.perf_counter() - t0 > STALL_S
+    return slow / STALL_PRODUCTS
+
+
 def machine():
     threads = {k: v for k, v in sorted(os.environ.items()) if k.endswith("_NUM_THREADS")}
     return {
@@ -95,6 +115,7 @@ def machine():
         "numpy_blas": _blas(np),
         "scipy_blas": _blas(scipy),
         "num_threads_env": threads,
+        "blas_stall_share": blas_stall_share(),
     }
 
 
@@ -191,6 +212,11 @@ def main():
     args = ap.parse_args()
     if args.reps < 5:
         ap.error("--reps must be at least 5")
+    record = machine()
+    if record["blas_stall_share"] > 0:
+        print("warning: %.0f%% of the BLAS probe's products took over %g ms; this process's "
+              "rows cannot be compared with a run that shows none (see the README)"
+              % (100 * record["blas_stall_share"], 1e3 * STALL_S), file=sys.stderr)
 
     rows = [import_row(args.reps)] + setup_rows(args.reps)
     for model, n, ratio, algs, k in INSTANCES:
@@ -214,7 +240,7 @@ def main():
     path = Path(args.out)
     doc = json.loads(path.read_text()) if path.exists() else {}
     doc.setdefault("runs", {})[args.label] = {
-        "machine": machine(),
+        "machine": record,
         "what": "pass rows: seconds per pass of a %d-pass run recording every pass; "
                 "observe rows: seconds per max_passes=0 run with the ground truth; "
                 "import row: seconds and peak RSS of a fresh process importing phasekit; "

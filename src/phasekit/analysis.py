@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _count, _is_number, _level
+from .core import _count, _instance, _is_number, _level
 from .streams import substream
 
 # the sign-flip bound's hypothesis: ||h|| < (sqrt(2)-1)/sqrt(2) * ||x||
@@ -58,12 +58,6 @@ class CorrelationState:
         _level(self.norm_z, "norm_z", zero_ok=True)
 
 
-def _state(state):
-    if not isinstance(state, CorrelationState):
-        raise TypeError("state must be a CorrelationState, not %s" % type(state).__name__)
-    return state
-
-
 def abs_product_moment(rho):
     """E|uv| for a standard-normal pair with correlation rho (_correlation's rule)."""
     rho = _correlation(rho)
@@ -73,7 +67,7 @@ def abs_product_moment(rho):
 
 def expected_rwf_loss(state):
     """Population amplitude loss at the given state (TypeError unless a CorrelationState)."""
-    nx, nz = _state(state).norm_x, state.norm_z
+    nx, nz = _instance(state, CorrelationState, "state").norm_x, state.norm_z
     if nz == 0:
         return 0.5 * nx * nx
     return 0.5 * nx * nx + 0.5 * nz * nz - nx * nz * abs_product_moment(state.rho)
@@ -81,7 +75,7 @@ def expected_rwf_loss(state):
 
 def expected_wf_loss(state):
     """Population intensity loss (real field) at the given state (TypeError as above)."""
-    nx2 = _state(state).norm_x**2
+    nx2 = _instance(state, CorrelationState, "state").norm_x**2
     nz2 = state.norm_z**2
     return 0.75 * nx2 * nx2 + 0.75 * nz2 * nz2 - 0.5 * nx2 * nz2 - state.rho**2 * nx2 * nz2
 
@@ -132,7 +126,7 @@ def monte_carlo_expected_rwf_loss(state, samples, seed):
     TypeError unless state is a CorrelationState.
     """
     samples = _count(samples, "samples", 1000)
-    rho = _state(state).rho
+    rho = _instance(state, CorrelationState, "state").rho
     nx, nz = state.norm_x, state.norm_z
     rng = substream(seed, "mc-loss")
     comp = math.sqrt(max(0.0, 1.0 - rho * rho))

@@ -47,6 +47,13 @@ def _level(value, name, zero_ok=False, error=ValueError):
     return float(value)
 
 
+def _instance(value, cls, name):
+    """value if it is a cls, else TypeError naming name and value's type."""
+    if not isinstance(value, cls):
+        raise TypeError("%s must be %s, not %s" % (name, cls.__name__, type(value).__name__))
+    return value
+
+
 def _numeric(x, name):
     """np.asarray(x); ValueError unless its dtype is bool, int, float or complex."""
     a = np.asarray(x)
@@ -173,11 +180,13 @@ def intensity_loss(fz, y):
 
 
 def rwf_loss(z, y, A):
-    """Amplitude loss (1/2m) sum (|a_i^* z| - y_i)^2 of iterate z, for y
-    A's Measurements (A._check_measurements).  NaN in z gives NaN out."""
-    return amplitude_loss(A.apply(z), A._check_measurements(y))
+    """Amplitude loss (1/2m) sum (|a_i^* z| - y_i)^2 of iterate z, for an Ensemble A
+    (else TypeError) and y as A._check_measurements takes it.  NaN in, NaN out."""
+    from .sensing import Ensemble  # sensing imports this module
+    return amplitude_loss(_instance(A, Ensemble, "A").apply(z), A._check_measurements(y))
 
 
 def wf_loss(z, y, A):
-    """Intensity loss (1/4m) sum (|a_i^* z|^2 - y_i^2)^2 of z; y and NaN as for rwf_loss."""
-    return intensity_loss(A.apply(z), A._check_measurements(y))
+    """Intensity loss (1/4m) sum (|a_i^* z|^2 - y_i^2)^2 of z; y, A and NaN as for rwf_loss."""
+    from .sensing import Ensemble  # sensing imports this module
+    return intensity_loss(_instance(A, Ensemble, "A").apply(z), A._check_measurements(y))

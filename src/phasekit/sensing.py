@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import COMPLEX, REAL, _count, _level, as_signal
+from .core import COMPLEX, REAL, _count, _instance, _level, as_signal
 from .streams import substream
 
 CDP = "cdp"
@@ -33,8 +33,7 @@ CDP = "cdp"
 KINDS = (REAL, COMPLEX, CDP)
 NOISE_KINDS = ("none", "bounded", "poisson")
 
-# Rows per block wherever a pass over a Gaussian ensemble's rows makes a
-# temporary: the complex draws and the row norms.
+# Rows per block of the complex draws, which bounds their temporary.
 BLOCK_ROWS = 256
 # Largest run of elements the l1 sum takes np.abs of at once.
 L1_LEAF = 65536
@@ -135,22 +134,12 @@ class Ensemble:
     def _check_measurements(self, y):
         """y.values for Measurements y of this ensemble's m; TypeError for
         anything else (a bare array too), ValueError for another m."""
-        if not isinstance(y, Measurements):
-            raise TypeError("y must be Measurements, not %s" % type(y).__name__)
-        if y.m != self.m:
+        if _instance(y, Measurements, "y").m != self.m:
             raise ValueError("y must be of measurement count m=%d, not %d" % (self.m, y.m))
         return y.values
 
-    def _check_row(self, i):
-        # numpy would index with a bool as a mask and refuse a float
-        if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
-            raise IndexError("row index %r is not an integer" % (i,))
-        if not 0 <= i < self.m:
-            raise IndexError("row index %d out of range" % i)
-        return i
-
     def row_sqnorm(self, i):
-        return float(self.row_sqnorms()[self._check_row(i)])
+        return float(self.row_sqnorms()[_check_index(i, self.m)])
 
     def _check_rows(self, idx):
         """idx as a 1-D intp array of integers in [0, m), else IndexError."""
@@ -189,7 +178,7 @@ class GaussianEnsemble(Ensemble):
         super().__init__(rows.shape[1], rows.shape[0], seed)
         self.rows = rows
         self.kind = COMPLEX if np.iscomplexobj(rows) else REAL
-        self._sqnorms = None
+        self._sqnorms = None  # row_sqnorms(), once it has been called
 
     def apply(self, z):
         return rows_apply(self.rows, as_signal(z, self.n, "z", finite=False))
@@ -198,7 +187,7 @@ class GaussianEnsemble(Ensemble):
         return self.rows.T @ as_signal(v, self.m, "v", finite=False)
 
     def row(self, i):
-        return self.rows[self._check_row(i)]
+        return self.rows[_check_index(i, self.m)]
 
     def block_rows(self, idx):
         return self.rows[self._check_rows(idx)]
@@ -208,13 +197,11 @@ class GaussianEnsemble(Ensemble):
 
     def row_sqnorms(self):
         if self._sqnorms is None:
-            # a block of rows at a time, so the conjugated copy stays small;
-            # each row's sum is the same as over the whole matrix
-            sq = np.empty(self.m)
-            for s in range(0, self.m, BLOCK_ROWS):
-                b = self.rows[s : s + BLOCK_ROWS]
-                sq[s : s + BLOCK_ROWS] = np.einsum("ij,ij->i", b, np.conj(b)).real
-            self._sqnorms = sq
+            # the float view of a complex row interleaves Re and Im, so one
+            # pass sums |a_ij|^2 with no conjugated copy; real rows view as is
+            v = self.rows.view(self.rows.real.dtype)
+            self._sqnorms = np.einsum("ij,ij->i", v, v)
+            self._sqnorms.flags.writeable = False  # shared by every later call
         return self._sqnorms
 
     def row_l1_sum(self):
@@ -255,14 +242,16 @@ class CDPEnsemble(Ensemble):
         return (self._masks_conj * (self.n * np.fft.ifft(V, axis=1))).sum(axis=0)
 
     def mask_apply(self, l, z):
-        """The n measurements of mask l alone."""
+        """The n measurements of mask l alone (l a row index into the L masks)."""
+        l = _check_index(l, self.L, "mask index")
         return np.fft.fft(self.masks[l] * as_signal(z, self.n, "z", finite=False))
 
     def mask_adjoint(self, l, u):
+        l = _check_index(l, self.L, "mask index")
         return self._masks_conj[l] * (self.n * np.fft.ifft(as_signal(u, self.n, "u", finite=False)))
 
     def row(self, i):
-        l, k = divmod(self._check_row(i), self.n)
+        l, k = divmod(_check_index(i, self.m), self.n)
         return self._masks_conj[l] * self._twiddle_conj[k * np.arange(self.n) % self.n]
 
     def block_rows(self, idx):
@@ -270,12 +259,9 @@ class CDPEnsemble(Ensemble):
         return self._masks_conj[l] * self._twiddle_conj[np.outer(k, np.arange(self.n)) % self.n]
 
     def row_sqnorms(self):
-        # unit-modulus mask times unit-modulus DFT entries: exactly n
-        return np.full(self.m, float(self.n))
-
-    def row_sqnorm(self, i):
-        self._check_row(i)
-        return float(self.n)
+        # unit-modulus mask times unit-modulus DFT entries: exactly n, as a
+        # read-only broadcast that allocates nothing
+        return np.broadcast_to(float(self.n), (self.m,))
 
     def row_l1_sum(self):
         return float(self.m) * float(self.n)
@@ -287,6 +273,16 @@ class CDPEnsemble(Ensemble):
 
     def descriptor(self):
         return {"kind": self.kind, "n": self.n, "L": self.L, "seed": self.seed}
+
+
+def _check_index(i, count, name="row index"):
+    """i if an integer (numpy's too, not a bool: numpy would index with it as
+    a mask) in [0, count), else IndexError naming name."""
+    if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
+        raise IndexError("%s %r is not an integer" % (name, i))
+    if not 0 <= i < count:
+        raise IndexError("%s %d out of range" % (name, i))
+    return i
 
 
 def _abs_sum(flat):
@@ -361,9 +357,9 @@ def from_descriptor(d):
 
 
 def measure(A, x, noise=None):
-    """Magnitude measurements of x through A, with optional noise; x and a
-    given w follow core.as_signal at lengths n and m, and w must be real."""
-    mag = np.abs(A.apply(as_signal(x, A.n, "x")))
+    """|A x| for an Ensemble A (else TypeError), with optional noise; x and
+    a given w follow core.as_signal at lengths n and m, and w must be real."""
+    mag = np.abs(_instance(A, Ensemble, "A").apply(as_signal(x, A.n, "x")))
     if noise is None or noise.kind == "none":
         return Measurements(mag, "clean", {})
     if noise.kind == "bounded":

@@ -37,6 +37,7 @@ from .core import (
     COMPLEX,
     _check_pair,
     _count,
+    _instance,
     _level,
     amplitude_loss,
     as_signal,
@@ -44,7 +45,7 @@ from .core import (
     intensity_loss,
     phase,
 )
-from .sensing import CDP, GaussianEnsemble, rows_apply
+from .sensing import CDP, Ensemble, GaussianEnsemble, rows_apply
 from .streams import substream
 
 ALGORITHMS = (
@@ -135,8 +136,8 @@ class RunTrace:
 
 def _checked_copy(z, y, A, name="z", finite=False):
     """(a float64/complex128 copy of z, complex on complex rows, y.values)
-    after checking y and z against A; NaN in z passes unless finite."""
-    yv = A._check_measurements(y)
+    for an Ensemble A that y and z fit; NaN in z passes unless finite."""
+    yv = _instance(A, Ensemble, "A")._check_measurements(y)
     z = as_signal(z, A.n, name, finite)
     return np.array(z, dtype=np.complex128 if A.field == COMPLEX else None), yv
 
@@ -241,7 +242,7 @@ def kaczmarz_step(z, i, y, A):
 
     After the step the sample is fit exactly: |a_i^* z'| = y_i.  NaN in, NaN out.
     """
-    sq = A.row_sqnorm(i)
+    sq = _instance(A, Ensemble, "A").row_sqnorm(i)
     if sq == 0:
         raise ValueError("zero sensing row %d" % i)
     return irwf_step(z, i, y, A, step=1.0 / sq)
@@ -263,8 +264,8 @@ def minibatch_irwf_step(z, gamma, y, A, step=None):
     empty or repeating block, raises ValueError, and an index that is not
     an integer in [0, m) IndexError.  NaN in, NaN out.
     """
-    gamma = _check_block(gamma, A)
     z, yv = _checked_copy(z, y, A)
+    gamma = _check_block(gamma, A)
     step = 1.0 / A.n if step is None else _level(step, "step")
     return _block_update(z, gamma, yv, A, step)
 
@@ -288,10 +289,10 @@ def block_kaczmarz_step(z, gamma, y, A):
     fails or its reciprocal condition estimate is below
     1/BLOCK_CONDITION_LIMIT.  NaN in, NaN out.
     """
+    z, yv = _checked_copy(z, y, A)
     gamma = _check_block(gamma, A)
     if gamma.size > A.n:
         raise ValueError("block larger than n cannot have independent rows")
-    z, yv = _checked_copy(z, y, A)
 
     l = _full_mask_block(A, gamma)
     if l is not None:
@@ -320,8 +321,8 @@ def run(y, A, z0, cfg, x_opt=None):
     its initial value (stop_reason 'diverged').  Index draws come from the
     (cfg.seed, 'solver') stream; reruns are bit-reproducible.
     """
-    cfg.validate(A.m, A.n)
     z, yv = _checked_copy(z0, y, A, "z0", finite=True)
+    _instance(cfg, SolverConfig, "cfg").validate(A.m, A.n)
     alg = cfg.algorithm
     m, n = A.m, A.n
     # only the sampling algorithms draw indices

@@ -32,7 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import COMPLEX
+from .core import COMPLEX, _instance
+from .sensing import Ensemble
 from .streams import substream
 
 PREPROCESSINGS = ("optimal", "truncated")
@@ -89,10 +90,10 @@ def estimate_norm(y, A):
     For real Gaussian rows the coefficient concentrates at sqrt(pi/2),
     undoing the E|a^T x| = sqrt(2/pi) ||x|| folding; for unit-modulus
     coded-diffraction rows each ||a_i||_1 = n exactly, so the coefficient
-    is exactly 1 (computed analytically, no rows materialized).  y must be
-    A's Measurements (TypeError, or ValueError for another m).
+    is exactly 1 (computed analytically, no rows materialized).  TypeError
+    unless A is an Ensemble and y Measurements, ValueError for another m.
     """
-    yv = A._check_measurements(y)
+    yv = _instance(A, Ensemble, "A")._check_measurements(y)
     l1 = A.row_l1_sum()
     if l1 <= 0:
         raise ValueError("ensemble has zero total row l1 norm")
@@ -179,14 +180,13 @@ def spectral_initialize(y, A, params=None, seed=0):
 
     Lanczos runs to LANCZOS_TOL from a seeded random unit vector in the
     ensemble's field, so runs are reproducible (a dense eigendecomposition
-    from n products when n < 3).  y is checked as by estimate_norm, and
+    from n products when n < 3).  y and A are checked as by estimate_norm, and
     "optimal" raises ValueError when m <= n.  All-zero weights raise
     EmptyTruncationError; a Lanczos run that does not converge raises
     scipy's ArpackNoConvergence.  ValueError unless seed is an integer >= 0
-    (not a bool).
+    (not a bool), and TypeError unless params is None or an InitParams.
     """
-    if params is None:
-        params = InitParams()
+    params = InitParams() if params is None else _instance(params, InitParams, "params")
     lam0 = estimate_norm(y, A)
     if params.preprocessing == "optimal":
         w = optimal_weights(y.values, lam0, A.m, A.n)

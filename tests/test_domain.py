@@ -4,11 +4,13 @@ A count is an integer at or above its minimum (numpy integers pass, bools
 do not); a level is a finite number above 0, or at least 0 where a zero
 level is allowed; a correlation is a number with |rho| <= 1 + 1e-12, and
 the density's open one a number with |rho| < 1; a row index is an integer
-in [0, m), and a block of them a 1-D sequence of such.  Seeds are counts
-from 0 at every entry point that takes one.  A vector is a nonempty 1-D
-numeric array of its length (core.as_signal), finite where asked, complex
-where the field allows; a y is Measurements of the ensemble's m; a state
-is a CorrelationState; an elementwise input has a numeric dtype.  Each row
+in [0, m), a mask index one in [0, L), and a block of row indices a 1-D
+sequence of such.  Seeds are counts from 0 at every entry point that takes
+one.  A vector is a nonempty 1-D numeric array of its length
+(core.as_signal), finite where asked, complex where the field allows; a y
+is Measurements of the ensemble's m; an ensemble, a state, a solver config
+and init params are instances of their class (core._instance); an
+elementwise input has a numeric dtype.  Each row
 of the table names one argument or config field, the rule it follows, the
 error it documents, and a call that passes a value to it alone.  Outside
 the domain the call must raise that error, naming the argument; at its
@@ -30,6 +32,7 @@ from phasekit import (
     ConfigError,
     CorrelationState,
     ExperimentConfig,
+    InitParams,
     Measurements,
     NoiseSpec,
     SolverConfig,
@@ -111,7 +114,14 @@ def _measurements(m):
     return ("measurements", m, None)
 
 
-_STATE = ("state", None, None)
+def _objects(*valid):
+    """An instance of the class of the valid values, which are the edge cases;
+    None is refused unless it is one of them."""
+    return ("object", valid, None)
+
+
+_STATE = _objects(CorrelationState(0.5), CorrelationState(-1, 2.0, 0.0))
+_ENSEMBLE = _objects(_A)
 _NUMERIC = ("numeric", None, None)
 
 
@@ -206,6 +216,10 @@ DOMAIN = [
      lambda v: _C.row_sqnorm(v)),
     ("CDPEnsemble.block_rows", _indices(8), IndexError, "row index",
      lambda v: _C.block_rows([v])),
+    ("CDPEnsemble.mask_apply", _indices(2), IndexError, "mask index",
+     lambda v: _C.mask_apply(v, _X)),
+    ("CDPEnsemble.mask_adjoint", _indices(2), IndexError, "mask index",
+     lambda v: _C.mask_adjoint(v, _X)),
     ("irwf_step.i", _indices(12), IndexError, "row index", lambda v: irwf_step(_X, v, _Y, _A)),
     ("kaczmarz_step.i", _indices(12), IndexError, "row index",
      lambda v: kaczmarz_step(_X, v, _Y, _A)),
@@ -249,6 +263,24 @@ DOMAIN = [
     ("expected_wf_loss.state", _STATE, TypeError, "state", lambda v: expected_wf_loss(v)),
     ("monte_carlo_expected_rwf_loss.state", _STATE, TypeError, "state",
      lambda v: monte_carlo_expected_rwf_loss(v, 1000, 0)),
+    # an object argument is an instance of its class (core._instance)
+    ("run.cfg", _objects(_ONE_PASS), TypeError, "cfg", lambda v: run(_Y, _A, _X, v)),
+    ("spectral_initialize.params", _objects(None, InitParams()), TypeError, "params",
+     lambda v: spectral_initialize(_Y, _A, params=v)),
+    ("run.A", _ENSEMBLE, TypeError, "A", lambda v: run(_Y, v, _X, _ONE_PASS)),
+    ("rwf_loss.A", _ENSEMBLE, TypeError, "A", lambda v: rwf_loss(_X, _Y, v)),
+    ("wf_loss.A", _ENSEMBLE, TypeError, "A", lambda v: wf_loss(_X, _Y, v)),
+    ("measure.A", _objects(_A, _C), TypeError, "A", lambda v: measure(v, _X)),
+    ("estimate_norm.A", _ENSEMBLE, TypeError, "A", lambda v: estimate_norm(_Y, v)),
+    ("spectral_initialize.A", _ENSEMBLE, TypeError, "A", lambda v: spectral_initialize(_Y, v)),
+    ("rwf_gradient.A", _ENSEMBLE, TypeError, "A", lambda v: rwf_gradient(_X, _Y, v)),
+    ("wf_gradient.A", _ENSEMBLE, TypeError, "A", lambda v: wf_gradient(_X, _Y, v)),
+    ("irwf_step.A", _ENSEMBLE, TypeError, "A", lambda v: irwf_step(_X, 0, _Y, v)),
+    ("kaczmarz_step.A", _ENSEMBLE, TypeError, "A", lambda v: kaczmarz_step(_X, 0, _Y, v)),
+    ("minibatch_irwf_step.A", _ENSEMBLE, TypeError, "A",
+     lambda v: minibatch_irwf_step(_X, [0, 1], _Y, v)),
+    ("block_kaczmarz_step.A", _ENSEMBLE, TypeError, "A",
+     lambda v: block_kaczmarz_step(_X, [0, 1], _Y, v)),
     # elementwise: any shape, refused only for a dtype that is not numeric
     ("phase.v", _NUMERIC, ValueError, "v", lambda v: phase(v)),
     ("from_rows.rows", _NUMERIC, ValueError, "rows", lambda v: from_rows(v)),
@@ -291,8 +323,11 @@ def _invalid(rule):
         wrong = st.integers(1, 2 * bound).filter(lambda k: k != bound).map(np.ones)
         return st.one_of(_ALWAYS_BAD, st.sampled_from([None, _Y.values, list(_Y.values)]),
                          wrong, wrong.map(Measurements))
-    if kind == "state":
-        return st.one_of(_ALWAYS_BAD, st.floats(), st.sampled_from([None, (0.5, 1.0, 1.0)]))
+    if kind == "object":
+        # look-alikes: a tuple of a state's fields, a config's dict, bare rows
+        alike = [(0.5, 1.0, 1.0), {"algorithm": "rwf"}, _A.rows]
+        return st.one_of(_ALWAYS_BAD, st.floats(),
+                         st.sampled_from(alike + ([] if None in bound else [None])))
     if kind == "numeric":
         return st.one_of(_NOT_NUMERIC, st.just(None))
     if kind == "open correlation":
@@ -331,8 +366,8 @@ def _valid(rule):
         return ok
     if kind == "measurements":
         return [_Y, Measurements(2 * _Y.values)]
-    if kind == "state":
-        return [CorrelationState(0.5), CorrelationState(-1, 2.0, 0.0)]
+    if kind == "object":
+        return list(bound)
     if kind == "numeric":
         return [2.5, True, np.int64(-3), [[1, -2], [0, 3]], np.ones(3, np.float32), [1j, 0]]
     if kind == "open correlation":
@@ -360,7 +395,10 @@ def test_outside_the_domain_raises_the_documented_error(row, data):
     # ConfigError is a ValueError, so a bare ValueError from a config would pass above
     assert type(info.value) is error
     # an index message names the index ("row index 2.5 is not an integer")
-    pattern = r"^row ind(ex|ices) " if rule[0] == "index" else r"(^|[^\w])%s must be" % re.escape(name)
+    if rule[0] == "index":
+        pattern = r"^(%s|row indices) " % re.escape(name)
+    else:
+        pattern = r"(^|[^\w])%s must be" % re.escape(name)
     assert re.search(pattern, str(info.value)), str(info.value)
 
 

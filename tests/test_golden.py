@@ -62,7 +62,7 @@ SOLVER_CASES = {
         minibatch_k=4,
     )
     for model in ("real", "complex", "cdp")
-    for alg in ("wf", "irwf", "kaczmarz_pr", "minibatch_irwf", "block_kaczmarz_pr")
+    for alg in ("rwf", "wf", "irwf", "kaczmarz_pr", "minibatch_irwf", "block_kaczmarz_pr")
 }
 # whole coded-diffraction masks as blocks: the FFT projection
 SOLVER_CASES["cdp/block_kaczmarz_pr_whole_mask"] = dict(
@@ -109,16 +109,19 @@ SOLVER_GOLDEN = {
     "cdp/irwf": "ef34b5561d8da05e6a56fbaea9dfa12d05232da1f00b12df9bcd7bf2b6a070a0",
     "cdp/kaczmarz_pr": "788ae55bc35f78cb9de778434249af158d2434ac77a1f1eb5f559339df245b91",
     "cdp/minibatch_irwf": "6897ba0f21c16960e4b224a62ec6cebbe35b479bb268bf3ff663ea5f88a2bb5a",
+    "cdp/rwf": "e1e58b41941a77144f7b5c49ed4dae12978d95fff527781769cdf88fefe389b9",
     "cdp/wf": "65ddd2d8b9bfd244b19df1fb5239a6cac5dc028db31fd7cd0ee39559881a4606",
     "complex/block_kaczmarz_pr": "bce09f1d26f5471169b8d7381ec0a2f63efa969fdb33e871af4ac71e6b02b923",
     "complex/irwf": "0443aa6c41c167d1ef6469527e3692cea005bbc10ab9edd064134ba586a19ae0",
-    "complex/kaczmarz_pr": "64bb41e6f714206362bcc5a810a758ed719e06b2a790b654ba0dc1a1222aaed3",
+    "complex/kaczmarz_pr": "9f71b8e3b040d0c9d3831f883a05497afacc9cbd0aff761e9aa18011f74c1d39",
     "complex/minibatch_irwf": "b664093b464013ce42974be08f265ca6a39f76ce4e994d9d0f405c99ec486687",
+    "complex/rwf": "159c58a052de3930785d0425e1adfffb789326f7d08eb0c9bae1c8a1fa83d65d",
     "complex/wf": "2c0f1741ff7c347bc92004cb4133443f8ea88ee3f09eb0a8c811c12169911908",
     "real/block_kaczmarz_pr": "7b8cb3067e3edc32abe5d10e2537afa2679661b1327ad19daa991ff70b6fc54e",
     "real/irwf": "8d3b6106b03b0ae4757147db8f7e3c3ac196e500a7434d3277cb2fb48066c2a8",
     "real/kaczmarz_pr": "71ab79c621fdc0264ca6eaae4f461e6965235cb6c8733a090fe90719bc8d4e64",
     "real/minibatch_irwf": "958ac379d7c1b2b9e3076fa506e212308003c45b055ba6ef8b820cc5bba7d03e",
+    "real/rwf": "c2249730b2b5206af4f901ac75ca216252bd07d3c4402d5dd021b41558e52426",
     "real/wf": "3072de318aa46c90eaaa25fa93038fa8938e5cebbcfd56062922fd7bdf843bbb",
 }
 

@@ -95,6 +95,41 @@ def test_row_l1_sum_adds_at_most_one_leaf():
     assert peak <= L1_LEAF * 8 + SMALL
 
 
+def test_row_sqnorms_add_only_the_norm_vector():
+    # one pass over the float view of the rows, with no conjugated copy
+    A = make_gaussian(64, 1000, COMPLEX, seed=2)
+    _, peak = _peak_bytes(A.row_sqnorms)
+    assert peak <= A.m * 8 + SMALL
+
+
+@pytest.mark.parametrize(
+    "A",
+    [make_gaussian(37, 300, REAL, seed=6), make_gaussian(37, 300, COMPLEX, seed=6),
+     from_rows(np.arange(12.0).reshape(3, 4) - 5), from_rows([[1 + 2j, -3j], [0, 4]])],
+    ids=["real", "complex", "from_rows-real", "from_rows-complex"],
+)
+def test_row_sqnorms_are_the_squared_row_norms_once(A):
+    # the per-row sum of a_ij conj(a_ij): the same bits on real rows, and the
+    # same up to the order of the Re^2 and Im^2 terms on complex ones
+    ref = np.einsum("ij,ij->i", A.rows, np.conj(A.rows)).real
+    if A.kind == REAL:
+        assert np.array_equal(A.row_sqnorms(), ref)
+    else:
+        np.testing.assert_allclose(A.row_sqnorms(), ref, rtol=1e-14, atol=0)
+    assert A.row_sqnorms() is A.row_sqnorms()
+    assert A.row_sqnorm(1) == A.row_sqnorms()[1]
+
+
+@pytest.mark.parametrize("A", [make_gaussian(4, 12, COMPLEX, seed=1), make_cdp(4, 3, seed=1)],
+                         ids=["gaussian", "cdp"])
+def test_row_sqnorms_are_read_only(A):
+    # the norms are shared by every later call and Kaczmarz step, so a
+    # caller cannot zero a row's norm through them
+    with pytest.raises(ValueError):
+        A.row_sqnorms()[0] = 0.0
+    assert A.row_sqnorm(0) > 0
+
+
 def test_gaussian_rejects_zero_dimensions():
     with pytest.raises(ValueError):
         make_gaussian(0, 5, REAL, seed=0)

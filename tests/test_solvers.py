@@ -22,6 +22,7 @@ from phasekit.core import (
 )
 from phasekit.sensing import (
     CDP,
+    Ensemble,
     Measurements,
     NoiseSpec,
     from_rows,
@@ -615,10 +616,13 @@ def test_run_is_deterministic():
     assert not np.array_equal(tr1.iterate, tr3.iterate)
 
 
-class _CountingEnsemble:
-    """Delegates to an ensemble and counts its forward and adjoint products."""
+class _CountingEnsemble(Ensemble):
+    """Delegates to an ensemble and counts its forward and adjoint products;
+    an Ensemble itself, since every function that takes one checks."""
 
     def __init__(self, A):
+        super().__init__(A.n, A.m, A.seed)
+        self.kind = A.kind
         self._A = A
         self.applies = 0
         self.adjoints = 0
