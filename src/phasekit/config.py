@@ -16,6 +16,7 @@ loudly before any computation starts.
 """
 
 import math
+import os
 from dataclasses import dataclass, fields
 
 from .core import _count, _is_number, _level
@@ -58,6 +59,12 @@ class ExperimentConfig:
             raise ConfigError("unknown experiment %r" % self.experiment)
         if self.model not in MODELS:
             raise ConfigError("unknown model %r" % self.model)
+        # a list field holds a tuple, as coerce_value builds and config_echo
+        # writes back; a scalar or a string would be iterated below
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type is tuple and not isinstance(value, tuple):
+                raise ConfigError("%s must be a tuple, not %s" % (f.name, type(value).__name__))
         # counts: a float would pass a range test, then fail in range()
         for name, low in (("n", 1), ("trials", 1), ("iteration_budget", 0), ("seed", 0),
                           ("rho_grid", 2), ("normz_grid", 1), ("jobs", 1)):
@@ -171,7 +178,8 @@ def parse_config_text(text):
 
 
 def load_config(path=None, overrides=None):
-    """ExperimentConfig from defaults, then config file, then overrides.
+    """ExperimentConfig from defaults, then the config file at path (None, a
+    str, bytes or an os.PathLike), then overrides.
 
     `overrides` holds already-typed values (CLI flags).  Every override
     applies; None unsets the field back to its built-in default (for mu,
@@ -181,6 +189,10 @@ def load_config(path=None, overrides=None):
     """
     values = {}
     if path is not None:
+        # open() would take an int as a file descriptor, read it and close it
+        if not isinstance(path, (str, bytes, os.PathLike)):
+            raise ConfigError("config path must be a str, bytes or path, not %s"
+                              % type(path).__name__)
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()

@@ -20,6 +20,10 @@ REAL = "real"
 COMPLEX = "complex"
 
 _TINY = np.finfo(np.float64).tiny  # smallest normal float64
+# a complex division takes 1/|v|, which overflows for |v| below the normal
+# range; scaling by this power of two is exact, and it lifts every nonzero
+# float32 or float64 magnitude into the normal range
+_SUBNORMAL_SCALE = 2.0**64
 
 
 def _is_number(v, integral=False):
@@ -80,9 +84,11 @@ def as_signal(x, n=None, name="signal", finite=True):
 def random_signal(n, field, rng):
     """Standard Gaussian signal: N(0,1) entries, or re/im each N(0, 1/2).
 
-    ValueError unless the length n is an integer >= 1 (not a bool).
+    ValueError unless the length n is an integer >= 1 (not a bool), and
+    TypeError unless rng is a numpy Generator.
     """
     n = _count(n, "n", 1)
+    _instance(rng, np.random.Generator, "rng")
     if field == REAL:
         return rng.standard_normal(n)
     if field == COMPLEX:
@@ -94,13 +100,19 @@ def phase(v):
     """Elementwise unit phase v/|v| with the convention phase(0) = 0.
 
     Real input uses sign (sign(0) = 0), so the nonsmooth point of the
-    amplitude loss contributes a zero term rather than NaN.  NaN in, NaN
-    out: a NaN entry gives a NaN phase and raises nothing.  Any shape; a
+    amplitude loss contributes a zero term rather than NaN.  A nonzero
+    complex entry gets a unit phase, subnormal magnitudes included.  NaN in,
+    NaN out: a NaN entry gives a NaN phase and raises nothing.  Any shape; a
     bool reads as 0 or 1, and a non-numeric dtype raises ValueError.
     """
     v = _numeric(v, "v")
     if v.dtype.kind == "c":
         mag = np.abs(v)
+        small = mag < np.finfo(mag.dtype).tiny  # zeros too, which scaling keeps
+        if small.any():
+            v = v.copy()
+            v[small] *= _SUBNORMAL_SCALE
+            mag = np.abs(v)
         return np.divide(v, mag, out=np.zeros_like(v), where=mag > 0)
     return np.sign(v.astype(np.float64) if v.dtype.kind == "b" else v)  # no bool loop
 
@@ -114,44 +126,45 @@ def _check_pair(z, x, name="x"):
     return z, x
 
 
-def best_phase(z, x):
-    """Unit scalar c minimizing ||c*z - x||.
-
-    Real field: c = +-1.  Complex field: c = ph(<x, z>), the argmax of
-    Re(c <z, x>-bar) over the unit circle; c = 1 when the signals are
-    orthogonal.
-    """
-    z, x = _check_pair(z, x)
-    if np.iscomplexobj(z):
+def _best_phase(z, x):
+    """best_phase for a checked pair, by scalar division: numpy's array one rounds differently."""
+    if z.dtype.kind == "c":
         ip = np.vdot(z, x)  # conj(z) . x = <x, z>
         if abs(ip) < _TINY:
-            # the complex division takes 1/|ip|, which overflows below the
-            # normal range; scaling by a power of two is exact
-            ip = ip * 2.0**600
+            ip = ip * _SUBNORMAL_SCALE
         a = abs(ip)
         return ip / a if a > 0 else 1.0 + 0j
     return 1.0 if np.dot(z, x) >= 0 else -1.0
 
 
-def dist_up_to_phase(z, x):
-    """Euclidean distance between z and x minimized over a global phase.
+def _distance(z, x):
+    """dist_up_to_phase for a checked pair, ||c z - x|| with c = best_phase(z, x)."""
+    return float(np.linalg.norm(_best_phase(z, x) * z - x))
 
-    Real field: min(||z - x||, ||z + x||).  Complex field: the minimizer
-    over phi of ||z e^{-j phi} - x|| is phi = arg<z, x>, giving the closed
-    form sqrt(||z||^2 + ||x||^2 - 2|<z, x>|); it is evaluated here in the
-    aligned form ||c z - x|| (identical algebraically, but free of the
-    cancellation that caps the subtractive form near sqrt(eps)*||x||).
-    NaN in, NaN out: a NaN entry gives a NaN distance and raises nothing,
-    so run() sees a diverged iterate through its finiteness check.
-    """
-    z, x = _check_pair(z, x)
-    if np.iscomplexobj(z):
-        return float(np.linalg.norm(best_phase(z, x) * z - x))
-    # np.linalg.norm of a real vector is sqrt(v.dot(v)), and sqrt is
-    # monotone, so one square root of the smaller sum gives the same bits
-    d = z - x
-    s = z + x
-    return math.sqrt(min(d.dot(d), s.dot(s)))
+
+def _reference_norm(x):
+    """||x|| for a relative error's reference x; ValueError for a zero x."""
+    nx = float(np.linalg.norm(x))
+    if nx == 0:
+        raise ValueError("relative error undefined for zero reference signal")
+    return nx
+
+
+def best_phase(z, x):
+    """Unit scalar c minimizing ||c*z - x||: the sign of z.x (+1 at 0) over the
+    reals, ph(<x, z>) over the complex field (1 for orthogonal signals)."""
+    return _best_phase(*_check_pair(z, x))
+
+
+def dist_up_to_phase(z, x):
+    """Euclidean distance between z and x minimized over a global phase, in
+    the aligned form ||c z - x|| with c = best_phase(z, x): min(||z - x||,
+    ||z + x||) over the reals, and over the complex field free of the
+    cancellation that caps sqrt(||z||^2 + ||x||^2 - 2|<z, x>|) near
+    sqrt(eps)*||x||.  NaN in, NaN out: a NaN entry gives a NaN distance and
+    raises nothing, so run() sees a diverged iterate through its finiteness
+    check."""
+    return _distance(*_check_pair(z, x))
 
 
 def relative_error(z, x):
@@ -160,10 +173,7 @@ def relative_error(z, x):
     NaN in, NaN out, as for dist_up_to_phase; ValueError for a zero x.
     """
     z, x = _check_pair(z, x)
-    nx = np.linalg.norm(x)
-    if nx == 0:
-        raise ValueError("relative error undefined for zero reference signal")
-    return dist_up_to_phase(z, x) / float(nx)
+    return _distance(z, x) / _reference_norm(x)
 
 
 def amplitude_loss(fz, y):

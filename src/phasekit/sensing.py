@@ -357,10 +357,11 @@ def from_descriptor(d):
 
 
 def measure(A, x, noise=None):
-    """|A x| for an Ensemble A (else TypeError), with optional noise; x and
-    a given w follow core.as_signal at lengths n and m, and w must be real."""
+    """|A x| for an Ensemble A, with noise a NoiseSpec or None (clean), each
+    else TypeError; x and a given w follow core.as_signal at lengths n and
+    m, and w must be real."""
     mag = np.abs(_instance(A, Ensemble, "A").apply(as_signal(x, A.n, "x")))
-    if noise is None or noise.kind == "none":
+    if noise is None or _instance(noise, NoiseSpec, "noise").kind == "none":
         return Measurements(mag, "clean", {})
     if noise.kind == "bounded":
         if noise.w is not None:
@@ -373,9 +374,8 @@ def measure(A, x, noise=None):
         np.maximum(y, 0.0, out=y)
         meta = {"w_rms": float(np.linalg.norm(w) / np.sqrt(A.m)), "clipped": clipped}
         return Measurements(y, "bounded", meta)
-    if noise.kind == "poisson":
-        rng = substream(noise.seed, "poisson-noise")
-        lam = mag**2 / noise.alpha
-        y = np.sqrt(noise.alpha * rng.poisson(lam).astype(np.float64))
-        return Measurements(y, "poisson", {"alpha": float(noise.alpha)})
-    raise ValueError("unknown noise kind %r" % noise.kind)
+    # poisson, the one kind left: NoiseSpec refuses any other
+    rng = substream(noise.seed, "poisson-noise")
+    lam = mag**2 / noise.alpha
+    y = np.sqrt(noise.alpha * rng.poisson(lam).astype(np.float64))
+    return Measurements(y, "poisson", {"alpha": float(noise.alpha)})

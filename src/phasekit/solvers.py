@@ -37,11 +37,12 @@ from .core import (
     COMPLEX,
     _check_pair,
     _count,
+    _distance,
     _instance,
     _level,
+    _reference_norm,
     amplitude_loss,
     as_signal,
-    dist_up_to_phase,
     intensity_loss,
     phase,
 )
@@ -344,16 +345,14 @@ def run(y, A, z0, cfg, x_opt=None):
     if not use_loss:
         # relative_error's checks and ||x_opt||, once per run
         x_opt = _check_pair(z, as_signal(x_opt, n, "x_opt"), "x_opt")[1]
-        nx = float(np.linalg.norm(x_opt))
-        if nx == 0:
-            raise ValueError("relative error undefined for zero reference signal")
+        nx = _reference_norm(x_opt)
     loss_fn = intensity_loss if alg == "wf" else amplitude_loss
     residual = _intensity_residual if alg == "wf" else _amplitude_residual
 
     def observe(zc):
         fz = A.apply(zc)
         loss = loss_fn(fz, yv)
-        rel = float("nan") if use_loss else dist_up_to_phase(zc, x_opt) / nx
+        rel = float("nan") if use_loss else _distance(zc, x_opt) / nx
         return fz, rel, loss, (loss if use_loss else rel)
 
     # fz holds A z for the current z once observe() has computed it, so a
@@ -364,8 +363,6 @@ def run(y, A, z0, cfg, x_opt=None):
         return RunTrace(z, history, 0, "tol")
     guard = DIVERGENCE_FACTOR * gauge0
 
-    stop_reason = "budget"
-    passes_used = 0
     for p in range(1, cfg.max_passes + 1):
         if alg in ("rwf", "wf"):
             if fz is None:
@@ -386,21 +383,16 @@ def run(y, A, z0, cfg, x_opt=None):
         else:  # block_kaczmarz_pr
             for _ in range(updates_per_pass):
                 _block_projection(z, rng.choice(m, size=k, replace=False), yv, A)
-        passes_used = p
         fz = None
 
         if p % cfg.record_every == 0 or p == cfg.max_passes:
             fz, rel, loss, gauge = observe(z)
             if not math.isfinite(gauge):
                 # keep history finite; the blown-up point is not recorded
-                stop_reason = "diverged"
-                break
+                return RunTrace(z, history, p, "diverged")
             history.append((p, rel, loss))
             if gauge > guard:
-                stop_reason = "diverged"
-                break
+                return RunTrace(z, history, p, "diverged")
             if gauge <= cfg.tol:
-                stop_reason = "tol"
-                break
-
-    return RunTrace(z, history, passes_used, stop_reason)
+                return RunTrace(z, history, p, "tol")
+    return RunTrace(z, history, cfg.max_passes, "budget")

@@ -1,5 +1,7 @@
 """Distance modulo global phase and losses."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -95,6 +97,29 @@ def test_best_phase_subnormal_inner_product():
     assert best_phase(z, x) == 1.0
     assert dist_up_to_phase(z, x) == 1.0
     assert dist_up_to_phase(-z, x) == 1.0
+
+
+def test_real_dist_is_the_smaller_signed_distance_bit_for_bit():
+    # the aligned form takes c = +-1 by the sign of z.x; away from
+    # orthogonality that picks the smaller of ||z - x|| and ||z + x||, and
+    # computes it with the same roundings as the min of the two
+    rng = np.random.default_rng(23)
+    checked = 0
+    for t in range(3000):
+        n = int(rng.integers(2, 200))
+        x = rng.standard_normal(n)
+        z = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3)
+        if t % 3 == 1:  # near-aligned
+            z = rng.choice([-1.0, 1.0]) * x + 10.0 ** rng.uniform(-12, -2) * z
+        elif t % 3 == 2:  # near-orthogonal
+            z -= (z.dot(x) / x.dot(x)) * x
+            z += rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-5, -2) * z.std() * x
+        if abs(z.dot(x)) < 1e-6 * np.linalg.norm(z) * np.linalg.norm(x):
+            continue
+        d, s = z - x, z + x
+        assert dist_up_to_phase(z, x) == math.sqrt(min(d.dot(d), s.dot(s)))
+        checked += 1
+    assert checked > 2900
 
 
 @given(signal_pairs(COMPLEX), st.floats(min_value=0.0, max_value=2.0 * np.pi))
@@ -207,6 +232,22 @@ def test_phase_zero_convention():
     nz = np.abs(vc) > 0
     assert np.allclose(np.abs(out[nz]), 1.0, atol=1e-15)
     assert out[1] == 0.0
+
+
+@pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+def test_phase_is_unit_for_every_nonzero_complex_magnitude(dtype):
+    # numpy's complex division takes 1/|v|, which overflowed to inf for a
+    # subnormal |v|; the phase of every nonzero entry has modulus 1
+    info = np.finfo(np.dtype(dtype).char.lower())
+    mags = [info.smallest_subnormal, 3 * info.smallest_subnormal, info.tiny / 3, info.tiny,
+            info.eps, 1.0, 1e3, info.max / 4]
+    v = np.array([r * np.exp(1j * a) for r in mags for a in np.linspace(0, 6, 13)]
+                 + [r * s for r in mags for s in (1, -1, 1j, -1j)], dtype=dtype)
+    assert (v != 0).all()
+    with np.errstate(all="raise"):
+        out = phase(v)
+    assert out.dtype == dtype
+    assert (np.abs(np.abs(out) - 1) <= 4 * info.eps).all()
 
 
 def test_best_phase_real_is_sign(rng):

@@ -8,8 +8,9 @@ in [0, m), a mask index one in [0, L), and a block of row indices a 1-D
 sequence of such.  Seeds are counts from 0 at every entry point that takes
 one.  A vector is a nonempty 1-D numeric array of its length
 (core.as_signal), finite where asked, complex where the field allows; a y
-is Measurements of the ensemble's m; an ensemble, a state, a solver config
-and init params are instances of their class (core._instance); an
+is Measurements of the ensemble's m; an ensemble, a state, a solver config,
+init params, a noise spec and a random generator are instances of their
+class (core._instance); a config's list field is a tuple; an
 elementwise input has a numeric dtype.  Each row
 of the table names one argument or config field, the rule it follows, the
 error it documents, and a call that passes a value to it alone.  Outside
@@ -120,6 +121,12 @@ def _objects(*valid):
     return ("object", valid, None)
 
 
+def _tuples(*valid):
+    """A tuple, as coerce_value builds one for a list field; the valid
+    values are the edge cases."""
+    return ("tuple", valid, None)
+
+
 _STATE = _objects(CorrelationState(0.5), CorrelationState(-1, 2.0, 0.0))
 _ENSEMBLE = _objects(_A)
 _NUMERIC = ("numeric", None, None)
@@ -180,6 +187,14 @@ DOMAIN = [
      lambda v: _experiment(noise_level=v)),
     ("ExperimentConfig.alphas", _levels(), ConfigError, "alpha",
      lambda v: _experiment(alphas=(v,))),
+    ("ExperimentConfig.m_over_n.tuple", _tuples((6.0,), (2, np.float64(2.5))), ConfigError,
+     "m_over_n", lambda v: _experiment(m_over_n=v)),
+    ("ExperimentConfig.masks.tuple", _tuples((2,), (np.int64(3), 12)), ConfigError, "masks",
+     lambda v: _experiment(masks=v)),
+    ("ExperimentConfig.algorithms.tuple", _tuples(("rwf",), ("rwf", "irwf")), ConfigError,
+     "algorithms", lambda v: _experiment(algorithms=v)),
+    ("ExperimentConfig.alphas.tuple", _tuples((0.5,), (1, np.float32(0.25))), ConfigError,
+     "alphas", lambda v: _experiment(alphas=v)),
     ("ExperimentConfig.mu", _levels(), ConfigError, "mu", lambda v: _experiment(mu=v)),
     ("ExperimentConfig.rho0", _levels(), ConfigError, "rho0", lambda v: _experiment(rho0=v)),
     ("NoiseSpec.level", _levels(zero_ok=True), ValueError, "level",
@@ -271,6 +286,10 @@ DOMAIN = [
     ("rwf_loss.A", _ENSEMBLE, TypeError, "A", lambda v: rwf_loss(_X, _Y, v)),
     ("wf_loss.A", _ENSEMBLE, TypeError, "A", lambda v: wf_loss(_X, _Y, v)),
     ("measure.A", _objects(_A, _C), TypeError, "A", lambda v: measure(v, _X)),
+    ("measure.noise", _objects(None, NoiseSpec(), NoiseSpec("poisson", alpha=0.5)), TypeError,
+     "noise", lambda v: measure(_A, _X, noise=v)),
+    ("random_signal.rng", _objects(substream(0)), TypeError, "rng",
+     lambda v: random_signal(4, REAL, v)),
     ("estimate_norm.A", _ENSEMBLE, TypeError, "A", lambda v: estimate_norm(_Y, v)),
     ("spectral_initialize.A", _ENSEMBLE, TypeError, "A", lambda v: spectral_initialize(_Y, v)),
     ("rwf_gradient.A", _ENSEMBLE, TypeError, "A", lambda v: rwf_gradient(_X, _Y, v)),
@@ -328,6 +347,11 @@ def _invalid(rule):
         alike = [(0.5, 1.0, 1.0), {"algorithm": "rwf"}, _A.rows]
         return st.one_of(_ALWAYS_BAD, st.floats(),
                          st.sampled_from(alike + ([] if None in bound else [None])))
+    if kind == "tuple":
+        # an entry alone, or the entries in a list, a set or an array
+        entries = bound[-1]
+        alike = [entries[0], list(entries), set(entries), np.array(entries), None]
+        return st.one_of(_ALWAYS_BAD, st.floats(), st.integers(), st.sampled_from(alike))
     if kind == "numeric":
         return st.one_of(_NOT_NUMERIC, st.just(None))
     if kind == "open correlation":
@@ -364,10 +388,10 @@ def _valid(rule):
         if not finite:  # NaN in, NaN out
             ok += [np.where(ramp == 1, NAN, ramp), np.where(ramp == 2, -INF, ramp)]
         return ok
+    if kind in ("object", "tuple"):
+        return list(bound)
     if kind == "measurements":
         return [_Y, Measurements(2 * _Y.values)]
-    if kind == "object":
-        return list(bound)
     if kind == "numeric":
         return [2.5, True, np.int64(-3), [[1, -2], [0, 3]], np.ones(3, np.float32), [1j, 0]]
     if kind == "open correlation":

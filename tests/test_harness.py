@@ -96,6 +96,23 @@ def test_load_config_missing_file(tmp_path):
         load_config(str(tmp_path / "absent.cfg"))
 
 
+def test_load_config_refuses_a_path_that_is_not_a_path():
+    # open() takes an int as a file descriptor: it would read the pipe as a
+    # config and close it
+    r, w = os.pipe()
+    os.write(w, b"n = 32\n")
+    os.close(w)
+    try:
+        with pytest.raises(ConfigError, match="^config path must be"):
+            load_config(r)
+        os.fstat(r)  # still open
+    finally:
+        os.close(r)
+    with pytest.raises(ConfigError, match="^config path must be"):
+        load_config(3.5)
+    assert load_config(Path(__file__).resolve().parents[1] / "configs" / "recover.cfg").n > 0
+
+
 def test_load_config_unknown_override():
     with pytest.raises(ConfigError):
         load_config(None, overrides={"bogus": 1})

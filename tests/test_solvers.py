@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from phasekit import core, solvers
 from phasekit.core import (
     COMPLEX,
     REAL,
@@ -678,6 +679,24 @@ def test_run_rejects_bad_reference_before_any_pass(bad, message):
     with pytest.raises(ValueError, match=message):
         run(y, counted, z0, SolverConfig(max_passes=5), x_opt=bad(x))
     assert (counted.applies, counted.adjoints) == (0, 0)
+
+
+def test_run_checks_the_reference_pair_once(monkeypatch):
+    # the monitor calls the unchecked distance kernel on every recorded pass;
+    # the (z, x_opt) pair is checked once, before the first pass
+    calls, check = [], core._check_pair
+
+    def counted(z, x, name="x"):
+        calls.append(name)
+        return check(z, x, name)
+
+    A, x, y = _instance(8, 40, REAL, seed=61)
+    monkeypatch.setattr(solvers, "_check_pair", counted)
+    monkeypatch.setattr(core, "_check_pair", counted)
+    tr = run(y, A, random_signal(8, REAL, substream(611)), SolverConfig(max_passes=5, tol=1e-300),
+             x_opt=x)
+    assert len(tr.history) == 6
+    assert calls == ["x_opt"]
 
 
 @pytest.mark.parametrize("alg", ["rwf", "wf", "irwf", "kaczmarz_pr"])
