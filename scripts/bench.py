@@ -19,6 +19,10 @@ Observe rows (solvers.observe): a rwf `run` with max_passes = 0 and the
 ground truth given, which is run()'s setup plus one monitoring call (A z,
 the loss and the relative error), on each Gaussian instance above; each
 repeat makes OBSERVE_CALLS calls and the row keeps seconds per call.
+Monitor rows (solvers.monitor) time the monitoring call's own terms on the
+same instances, with A z held: the amplitude loss and the phase-invariant
+distance over ||x||, so a change to them is not lost in run()'s setup and
+the product.
 
 Import row: wall seconds of a fresh `python -c "import phasekit"` process
 that imports this checkout's phasekit, and the peak RSS it reports.
@@ -60,7 +64,7 @@ sys.path.insert(0, SRC)
 import numpy as np  # noqa: E402
 import scipy  # noqa: E402
 
-from phasekit.core import COMPLEX, REAL, random_signal  # noqa: E402
+from phasekit.core import COMPLEX, REAL, _distance, amplitude_loss, random_signal  # noqa: E402
 from phasekit.sensing import make_cdp, make_gaussian, measure  # noqa: E402
 from phasekit.solvers import SolverConfig, run  # noqa: E402
 from phasekit.spectral import spectral_initialize  # noqa: E402
@@ -162,6 +166,18 @@ def time_observe(y, A, z0, x, reps):
     return med / OBSERVE_CALLS, low / OBSERVE_CALLS
 
 
+def time_monitor(y, A, z0, x, reps):
+    fz, yv, nx = A.apply(z0), y.values, float(np.linalg.norm(x))
+
+    def calls():
+        for _ in range(OBSERVE_CALLS):
+            amplitude_loss(fz, yv)
+            _distance(z0, x) / nx
+
+    med, low = median_min(calls, reps)
+    return med / OBSERVE_CALLS, low / OBSERVE_CALLS
+
+
 def import_row(reps):
     """Wall seconds and peak RSS of fresh processes importing phasekit."""
     env = dict(os.environ, PYTHONPATH=SRC)
@@ -225,11 +241,14 @@ def main():
         y = measure(A, x)
         z0 = random_signal(n, A.field, substream(11, "z0"))
         if model != "cdp":
-            med, low = time_observe(y, A, z0, x, args.reps)
-            rows.append({"layer": "solvers.observe", "model": model, "n": n, "m": A.m,
-                         "calls": OBSERVE_CALLS, "reps": args.reps, "median_s": med, "min_s": low})
-            print("%-28s %-8s n=%-5d median %8.3f ms  min %8.3f ms"
-                  % ("solvers.observe", model, n, 1e3 * med, 1e3 * low))
+            for layer, timer in (("solvers.observe", time_observe),
+                                 ("solvers.monitor", time_monitor)):
+                med, low = timer(y, A, z0, x, args.reps)
+                rows.append({"layer": layer, "model": model, "n": n, "m": A.m,
+                             "calls": OBSERVE_CALLS, "reps": args.reps, "median_s": med,
+                             "min_s": low})
+                print("%-28s %-8s n=%-5d median %8.3f ms  min %8.3f ms"
+                      % (layer, model, n, 1e3 * med, 1e3 * low))
         for alg in algs:
             med, low = time_pass(y, A, z0, alg, k, args.reps)
             rows.append({"layer": "solvers.%s.pass" % alg, "model": model, "n": n, "m": A.m,
@@ -243,6 +262,7 @@ def main():
         "machine": record,
         "what": "pass rows: seconds per pass of a %d-pass run recording every pass; "
                 "observe rows: seconds per max_passes=0 run with the ground truth; "
+                "monitor rows: seconds per loss and distance call on a held A z; "
                 "import row: seconds and peak RSS of a fresh process importing phasekit; "
                 "setup rows: seconds per call, and MB allocated at peak (tracemalloc)" % PASSES,
         "rows": rows,

@@ -11,13 +11,16 @@ Config files are plain text, one assignment per line:
     seed = 11
 
 List-valued keys take comma-separated entries.  Every key maps straight
-onto an ExperimentConfig field; unknown keys are errors, so typos fail
-loudly before any computation starts.
+onto an ExperimentConfig field; an unknown key or one given twice is an
+error, so typos fail loudly before any computation starts.
+
+Each field is declared once, with its command-line flag (_option), and the
+fields that become SolverConfig's take its defaults.
 """
 
 import math
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 from .core import _count, _is_number, _level
 from .experiments import EXPERIMENTS
@@ -29,40 +32,56 @@ class ConfigError(ValueError):
     """Invalid configuration: unknown key, bad value, or broken invariant."""
 
 
+def _option(default, flag=None, text=None, choices=None, experiment=None):
+    """A field with its command-line surface: its flag and help, the values
+    it may take, and the one EXPERIMENTS key that reads it (None: every
+    experiment).  cli.build_parser makes the flags from these, and validate
+    checks the choices."""
+    return field(default=default, metadata={"flag": flag, "help": text, "choices": choices,
+                                            "experiment": experiment})
+
+
 @dataclass
 class ExperimentConfig:
-    experiment: str = "recover"
-    n: int = 256
-    m_over_n: tuple = (6.0,)
-    masks: tuple = (12,)  # CDP mask counts L (model 'cdp' and the image demo)
-    model: str = "real"
-    algorithms: tuple = ("rwf",)
-    trials: int = 50
-    success_tol: float = 1e-5
-    iteration_budget: int = 1000
-    minibatch_k: int = 64
-    mu: float = None
-    rho0: float = 1.0
-    record_every: int = 1
-    noise_kind: str = "none"
-    noise_level: float = 0.01  # bounded noise: ||w||/sqrt(m) = noise_level * ||x||
-    alphas: tuple = (0.001, 0.01, 0.1, 1.0)
-    seed: int = 1
-    output_path: str = ""
-    image_path: str = ""
-    rho_grid: int = 41
-    normz_grid: int = 21
-    jobs: int = 1
+    # set by the command; a tuple of the keys, so that a list is refused, not hashed
+    experiment: str = _option("recover", choices=tuple(EXPERIMENTS))
+    n: int = _option(256, "--n", "signal dimension")
+    m_over_n: tuple = _option((6.0,), "--m-over-n", "comma-separated m/n ratios")
+    # CDP mask counts L (model 'cdp' and the image demo)
+    masks: tuple = _option((12,), "--masks", "comma-separated CDP mask counts")
+    model: str = _option("real", "--model", "sensing model", MODELS)
+    algorithms: tuple = _option(("rwf",), "--algo", "comma-separated algorithm list")
+    trials: int = _option(50, "--trials", "number of Monte Carlo trials")
+    success_tol: float = _option(SolverConfig.tol, "--tol", "success tolerance")
+    iteration_budget: int = _option(SolverConfig.max_passes, "--budget", "pass/iteration budget")
+    minibatch_k: int = _option(SolverConfig.minibatch_k, "--k", "minibatch/block size")
+    mu: float = _option(SolverConfig.mu, "--mu", "batch step size override")
+    rho0: float = _option(SolverConfig.rho0, "--rho0", "incremental step numerator")
+    record_every: int = _option(SolverConfig.record_every, "--record-every",
+                                "trace recording stride")
+    noise_kind: str = _option("none", "--noise", "noise model at measurement time", NOISE_KINDS)
+    # bounded noise: ||w||/sqrt(m) = noise_level * ||x||
+    noise_level: float = _option(0.01, "--noise-level", "bounded noise level ||w||/(sqrt(m)||x||)")
+    alphas: tuple = _option((0.001, 0.01, 0.1, 1.0), "--alphas",
+                            "comma-separated noise levels for sweeps")
+    seed: int = _option(1, "--seed", "master seed")
+    output_path: str = _option("", "--out", "output CSV path (or directory)")
+    image_path: str = _option("", "--image", "input plain PGM file", experiment="image_demo")
+    rho_grid: int = _option(41, "--rho-grid", "number of correlation grid points",
+                            experiment="loss_surface")
+    normz_grid: int = _option(21, "--normz-grid", "number of ||z|| grid points",
+                              experiment="loss_surface")
+    jobs: int = _option(1, "--jobs", "trial-level worker processes (default 1)")
 
     def validate(self):
-        if self.experiment not in EXPERIMENTS:
-            raise ConfigError("unknown experiment %r" % self.experiment)
-        if self.model not in MODELS:
-            raise ConfigError("unknown model %r" % self.model)
-        # a list field holds a tuple, as coerce_value builds and config_echo
-        # writes back; a scalar or a string would be iterated below
+        # a field with choices takes one of them; a list field holds a tuple,
+        # as coerce_value builds and config_echo writes back (a scalar or a
+        # string would be iterated below)
         for f in fields(self):
             value = getattr(self, f.name)
+            choices = f.metadata["choices"]
+            if choices is not None and value not in choices:
+                raise ConfigError("unknown %s %r" % (f.name.replace("_", " "), value))
             if f.type is tuple and not isinstance(value, tuple):
                 raise ConfigError("%s must be a tuple, not %s" % (f.name, type(value).__name__))
         # counts: a float would pass a range test, then fail in range()
@@ -84,8 +103,6 @@ class ExperimentConfig:
         if not self.algorithms:
             raise ConfigError("need at least one algorithm")
         _level(self.success_tol, "success_tol", error=ConfigError)
-        if self.noise_kind not in NOISE_KINDS:
-            raise ConfigError("unknown noise kind %r" % self.noise_kind)
         _level(self.noise_level, "noise_level", zero_ok=True, error=ConfigError)
         for a in self.alphas or (None,):
             _level(a, "every alpha", error=ConfigError)
@@ -140,29 +157,30 @@ def coerce_value(key, raw):
     """Parse the raw string for `key` into its typed field value.
 
     The type is the field's annotation.  A tuple field takes comma-separated
-    entries of its default's element type; mu reads 'none' (or nothing) as
-    unset.
+    entries of its default's element type; a field whose default is None
+    (mu) reads 'none' (or nothing) as unset.
     """
     if key not in _FIELDS:
         raise ConfigError("unknown config key %r" % key)
-    field = _FIELDS[key]
+    f = _FIELDS[key]
     raw = raw.strip()
     try:
-        if field.type is tuple:
+        if f.type is tuple:
             parts = [p.strip() for p in raw.split(",") if p.strip()]
             if not parts:
                 raise ValueError("empty list")
-            return tuple(type(field.default[0])(p) for p in parts)
-        if key == "mu":
-            return None if raw.lower() in ("none", "") else float(raw)
-        return field.type(raw)
+            return tuple(type(f.default[0])(p) for p in parts)
+        if f.default is None and raw.lower() in ("none", ""):
+            return None
+        return f.type(raw)
     except ValueError as exc:
         raise ConfigError("bad value for %s: %r (%s)" % (key, raw, exc)) from exc
 
 
 def parse_config_text(text):
-    """Raw {key: string} mapping from config-file text."""
-    entries = {}
+    """Raw {key: string} mapping from config-file text; a key given twice
+    is an error, as an unknown one is."""
+    entries, lines = {}, {}
     for ln, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -173,6 +191,9 @@ def parse_config_text(text):
         key = key.strip()
         if not key:
             raise ConfigError("line %d: missing key" % ln)
+        if key in lines:
+            raise ConfigError("line %d: key %r already set on line %d" % (ln, key, lines[key]))
+        lines[key] = ln
         entries[key] = val.strip()
     return entries
 

@@ -113,7 +113,10 @@ def phase(v):
             v = v.copy()
             v[small] *= _SUBNORMAL_SCALE
             mag = np.abs(v)
-        return np.divide(v, mag, out=np.zeros_like(v), where=mag > 0)
+        u = np.divide(v, mag, out=np.zeros_like(v), where=mag > 0)
+        # a NaN magnitude fails mag > 0, and dividing by it would warn
+        u[np.isnan(mag)] = complex(math.nan, math.nan)
+        return u
     return np.sign(v.astype(np.float64) if v.dtype.kind == "b" else v)  # no bool loop
 
 

@@ -21,8 +21,12 @@ Each update formula lives in one private kernel that changes z in place:
 the public step functions apply it to a copy of z, run() to its iterate.
 _sample_updates is one BLAS dot/axpy loop for both fields, and
 _block_projection runs on scipy's BLAS and LAPACK alone, so one thread pool
-serves it.  run() takes Gaussian rows from a list of row views built once
-per run, which indexes in about a third of the time of the 2-D array.
+serves it.  On complex rows its bits depend on the BLAS thread count from
+k = 64 on, where OpenBLAS's zpotrf starts to thread: 2-pass digests (n=1000,
+m=8n) agree at 1 and 2 threads for k = 32, 48 and 63, and differ for k = 64
+and 96 (ROADMAP item 2).  run() takes Gaussian rows from a list of row views
+built once per run, which indexes in about a third of the time of the 2-D
+array.
 
 z (z0 and x_opt in run) follows core.as_signal at length n, and y
 Ensemble._check_measurements; a step or gradient maps a NaN in z to NaN.

@@ -250,6 +250,20 @@ def test_phase_is_unit_for_every_nonzero_complex_magnitude(dtype):
     assert (np.abs(np.abs(out) - 1) <= 4 * info.eps).all()
 
 
+@pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+def test_phase_of_a_nan_complex_entry_is_nan(dtype):
+    # NaN in, NaN out, for a NaN real or imaginary part; the rest keep their bits
+    nan = float("nan")
+    v = np.array([complex(nan, 0), complex(1, nan), complex(nan, nan), 3 + 4j, 0, 1e-40j,
+                  -2.5 + 1e-3j], dtype=dtype)
+    with np.errstate(all="raise"):
+        out = phase(v)
+        finite = phase(v[3:])
+    assert out.dtype == dtype
+    assert np.isnan(out[:3]).all()
+    assert out[3:].tobytes() == finite.tobytes()
+
+
 def test_best_phase_real_is_sign(rng):
     x = rng.standard_normal(5)
     assert best_phase(x, x) == 1.0

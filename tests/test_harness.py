@@ -5,8 +5,10 @@ live in test_acceptance.py.  Everything here is deterministic, so row
 values can be compared exactly across reruns and worker counts.
 """
 
+import argparse
 import concurrent.futures
 import os
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +39,7 @@ from phasekit.experiments import (
 from phasekit.pgm import read_pgm, write_pgm
 from phasekit.results import ResultTable, csv_fingerprint, read_csv, write_csv
 from phasekit.sensing import KINDS
+from phasekit.solvers import SolverConfig
 
 
 # --- config ---------------------------------------------------------------
@@ -59,6 +62,17 @@ def test_parse_config_text_errors():
         parse_config_text("n = 4\nnot an assignment\n")
     with pytest.raises(ConfigError, match="missing key"):
         parse_config_text("= 5\n")
+
+
+def test_parse_config_text_refuses_a_repeated_key(tmp_path):
+    # a repeated key is an error, as an unknown one is: no value is picked
+    text = "n = 4\nseed = 2\n\n# n = 6 in a comment is no assignment\nn = 8\n"
+    with pytest.raises(ConfigError, match="^line 5: key 'n' already set on line 1$"):
+        parse_config_text(text)
+    cfgfile = tmp_path / "twice.cfg"
+    cfgfile.write_text(text)
+    with pytest.raises(ConfigError, match="'n' already set"):
+        load_config(str(cfgfile))
 
 
 def test_coerce_value_types():
@@ -134,6 +148,22 @@ def test_sweep_and_solver_config():
     solver = cfg.solver_config("irwf", seed=9)
     assert (solver.algorithm, solver.mu, solver.rho0, solver.minibatch_k) == ("irwf", 0.5, 2.0, 5)
     assert (solver.max_passes, solver.tol, solver.seed, solver.record_every) == (7, 1e-3, 9, 3)
+
+
+def test_solver_defaults_come_from_solver_config():
+    for alg in ("rwf", "irwf", "block_kaczmarz_pr"):
+        assert ExperimentConfig().solver_config(alg) == SolverConfig(algorithm=alg)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"experiment": "nope"}, "unknown experiment 'nope'"),
+    ({"experiment": ["recover"]}, r"unknown experiment \['recover'\]"),  # unhashable
+    ({"model": "quaternion"}, "unknown model 'quaternion'"),
+    ({"noise_kind": "pink"}, "unknown noise kind 'pink'"),
+])
+def test_validate_names_an_unknown_choice(kwargs, message):
+    with pytest.raises(ConfigError, match="^%s$" % message):
+        ExperimentConfig(**kwargs).validate()
 
 
 @pytest.mark.parametrize(
@@ -796,6 +826,40 @@ def test_cli_help_loads_no_scipy_or_pool(fresh_python):
 
 
 # --- command line -----------------------------------------------------------
+
+
+def _command_flags():
+    """{command: {flag: dest}} of the parser, --config and --help left out."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {command: {a.option_strings[0]: a.dest for a in sp._actions
+                      if a.option_strings and a.dest not in ("config", "help")}
+            for command, sp in sub.choices.items()}
+
+
+def test_each_field_is_a_flag_on_the_commands_it_names():
+    flags = _command_flags()
+    assert set(flags) == {command for command, _, _, _ in EXPERIMENTS.values()}
+    for f in fields(ExperimentConfig):
+        on = {command for command, table in flags.items() if f.name in table.values()}
+        if f.name == "experiment":  # the command itself sets it
+            assert not on
+            continue
+        only = f.metadata["experiment"]
+        assert on == ({EXPERIMENTS[only][0]} if only else set(flags)), f.name
+        for command in on:
+            assert flags[command][f.metadata["flag"]] == f.name
+    # the fields that one experiment alone reads
+    single = {f.name: f.metadata["experiment"] for f in fields(ExperimentConfig)
+              if f.metadata["experiment"]}
+    assert single == {"image_path": "image_demo", "rho_grid": "loss_surface",
+                      "normz_grid": "loss_surface"}
+
+
+def test_every_flag_is_a_field():
+    names = {f.name for f in fields(ExperimentConfig)}
+    for command, table in _command_flags().items():
+        assert set(table.values()) <= names, command
+        assert len(set(table.values())) == len(table), command
 
 
 def test_cli_recover_roundtrip(tmp_path, capsys):
