@@ -66,7 +66,7 @@ import scipy  # noqa: E402
 
 from phasekit.core import COMPLEX, REAL, _distance, amplitude_loss, random_signal  # noqa: E402
 from phasekit.sensing import make_cdp, make_gaussian, measure  # noqa: E402
-from phasekit.solvers import SolverConfig, run  # noqa: E402
+from phasekit.solvers import ALGORITHMS, SolverConfig, run  # noqa: E402
 from phasekit.spectral import spectral_initialize  # noqa: E402
 from phasekit.streams import substream  # noqa: E402
 
@@ -75,7 +75,6 @@ OBSERVE_CALLS = 50
 STALL_PRODUCTS, STALL_S = 100, 4e-3
 # the import row's child prints its own peak RSS (KiB on Linux)
 IMPORT_CHILD = "import resource, phasekit; print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)"
-ALGORITHMS = ("rwf", "wf", "irwf", "kaczmarz_pr", "minibatch_irwf", "block_kaczmarz_pr")
 # (model, n, m/n, algorithms, k)
 INSTANCES = (
     ("real", N, RATIO, ALGORITHMS, K),

@@ -101,17 +101,26 @@ def phase(v):
 
     Real input uses sign (sign(0) = 0), so the nonsmooth point of the
     amplitude loss contributes a zero term rather than NaN.  A nonzero
-    complex entry gets a unit phase, subnormal magnitudes included.  NaN in,
-    NaN out: a NaN entry gives a NaN phase and raises nothing.  Any shape; a
-    bool reads as 0 or 1, and a non-numeric dtype raises ValueError.
+    complex entry gets a unit phase, subnormal and overflowing magnitudes
+    included; one with an infinite part gets the limit, as sign(+-inf) =
+    +-1 does (phase(inf + 1j) = 1).  NaN in, NaN out: a NaN part gives a
+    NaN phase and raises nothing.  Any shape; a bool reads as 0 or 1, and a
+    non-numeric dtype raises ValueError.
     """
     v = _numeric(v, "v")
     if v.dtype.kind == "c":
         mag = np.abs(v)
         small = mag < np.finfo(mag.dtype).tiny  # zeros too, which scaling keeps
-        if small.any():
+        big = np.isinf(mag)
+        if small.any() or big.any():
             v = v.copy()
             v[small] *= _SUBNORMAL_SCALE
+            # |v| = inf, on (re, im) pairs, which do not warn: the limit (+-1 for
+            # an infinite part, 0 for a finite one), else an exact scaling down
+            p = v[big].view(mag.dtype).reshape(-1, 2)
+            inf = np.isinf(p)
+            p = np.where(inf.any(1, keepdims=True), np.sign(p) * inf, p / _SUBNORMAL_SCALE)
+            v[big] = p.view(v.dtype)[:, 0]
             mag = np.abs(v)
         u = np.divide(v, mag, out=np.zeros_like(v), where=mag > 0)
         # a NaN magnitude fails mag > 0, and dividing by it would warn

@@ -17,16 +17,15 @@ algorithms.  A recorded rwf or wf pass costs one forward and one adjoint
 product: the A z that monitoring computes is the one the next gradient
 uses.
 
-Each update formula lives in one private kernel that changes z in place:
-the public step functions apply it to a copy of z, run() to its iterate.
-_sample_updates is one BLAS dot/axpy loop for both fields, and
-_block_projection runs on scipy's BLAS and LAPACK alone, so one thread pool
-serves it.  On complex rows its bits depend on the BLAS thread count from
-k = 64 on, where OpenBLAS's zpotrf starts to thread: 2-pass digests (n=1000,
-m=8n) agree at 1 and 2 threads for k = 32, 48 and 63, and differ for k = 64
-and 96 (ROADMAP item 2).  run() takes Gaussian rows from a list of row views
-built once per run, which indexes in about a third of the time of the 2-D
-array.
+Each algorithm is declared once, as a row of _PASSES that ALGORITHMS,
+SolverConfig.validate and run() read.  Each update formula lives in one
+private kernel that changes z in place: the public step functions apply it
+to a copy of z, run() to its iterate.  _sample_updates is one BLAS dot/axpy
+loop for both fields, and _block_projection runs on scipy's BLAS and LAPACK
+alone, so one thread pool serves it.  On complex rows its bits depend on the
+BLAS thread count from k = 64 on, where OpenBLAS's zpotrf starts to thread:
+2-pass digests (n=1000, m=8n) agree at 1 and 2 threads for k = 32, 48 and
+63, and differ for k = 64 and 96 (ROADMAP item 2).
 
 z (z0 and x_opt in run) follows core.as_signal at length n, and y
 Ensemble._check_measurements; a step or gradient maps a NaN in z to NaN.
@@ -53,15 +52,6 @@ from .core import (
 from .sensing import CDP, Ensemble, GaussianEnsemble, rows_apply
 from .streams import substream
 
-ALGORITHMS = (
-    "rwf",
-    "wf",
-    "irwf",
-    "minibatch_irwf",
-    "kaczmarz_pr",
-    "block_kaczmarz_pr",
-)
-
 # default batch steps; the complex value also serves coded-diffraction runs
 RWF_STEP_REAL = 0.8
 RWF_STEP_COMPLEX = 1.2
@@ -79,11 +69,11 @@ class SolverConfig:
     coded-diffraction) for rwf, and to 0.2 for the wf baseline, where it is
     applied as mu/||z0||^2 (an experimental constant-step stand-in for the
     usual ramped schedule).  Incremental algorithms ignore mu and step by
-    rho0/n per sample; Kaczmarz variants ignore both.  minibatch_k bounds:
-    at most m, and at most n for the block pseudoinverse solver.  validate()
-    raises ValueError unless the counts are integers (minibatch_k and
-    record_every >= 1, max_passes and seed >= 0) and the levels (mu, rho0,
-    tol) are positive and finite.
+    rho0/n per sample; Kaczmarz variants ignore both.  validate() raises
+    ValueError unless the counts are integers (minibatch_k and record_every
+    >= 1, max_passes and seed >= 0), the levels (mu, rho0, tol) are positive
+    and finite, and minibatch_k is at most m (minibatch_irwf) or min(m, n)
+    (block_kaczmarz_pr).
     """
 
     algorithm: str = "rwf"
@@ -104,12 +94,9 @@ class SolverConfig:
         _level(self.tol, "tol")
         for name, low in (("minibatch_k", 1), ("max_passes", 0), ("record_every", 1), ("seed", 0)):
             _count(getattr(self, name), name, low)
-        if m is not None and self.algorithm in ("minibatch_irwf", "block_kaczmarz_pr"):
-            if self.minibatch_k > m:
-                raise ValueError("minibatch_k exceeds measurement count")
-        if n is not None and self.algorithm == "block_kaczmarz_pr":
-            if self.minibatch_k > n:
-                raise ValueError("block size exceeds n (row-independence regime)")
+        for size, message in zip((m, n), _PASSES[self.algorithm][2]):
+            if size is not None and self.minibatch_k > size:
+                raise ValueError(message)
 
 
 @dataclass
@@ -133,10 +120,7 @@ class RunTrace:
 
     def passes_to(self, tol):
         """First recorded pass count with relative error <= tol, else None."""
-        for p, err, _ in self.history:
-            if err <= tol:
-                return p
-        return None
+        return next((p for p, err, _ in self.history if err <= tol), None)
 
 
 def _checked_copy(z, y, A, name="z", finite=False):
@@ -189,9 +173,8 @@ def _block_update(z, gamma, y, A, step):
 def _mask_projection(z, l, y, A):
     """z -= A_l^*(A_l z - y_l . ph(A_l z)) / n: the exact projection onto
     coded-diffraction mask l's measurements, since A_l A_l^* = n I."""
-    n = A.n
-    resid = _amplitude_residual(A.mask_apply(l, z), y[l * n : (l + 1) * n])
-    z -= A.mask_adjoint(l, resid) / n
+    resid = _amplitude_residual(A.mask_apply(l, z), y[l * A.n : (l + 1) * A.n])
+    z -= A.mask_adjoint(l, resid) / A.n
     return z
 
 
@@ -275,14 +258,6 @@ def minibatch_irwf_step(z, gamma, y, A, step=None):
     return _block_update(z, gamma, yv, A, step)
 
 
-def _full_mask_block(A, gamma):
-    """Mask index l if gamma, as a set, is exactly mask l's block, else None."""
-    if A.kind != CDP or gamma.size != A.n:
-        return None
-    l = int(gamma.min()) // A.n
-    return l if np.array_equal(np.sort(gamma), np.arange(l * A.n, (l + 1) * A.n)) else None
-
-
 def block_kaczmarz_step(z, gamma, y, A):
     """Exact projection onto the block's solution set.
 
@@ -298,23 +273,72 @@ def block_kaczmarz_step(z, gamma, y, A):
     gamma = _check_block(gamma, A)
     if gamma.size > A.n:
         raise ValueError("block larger than n cannot have independent rows")
-
-    l = _full_mask_block(A, gamma)
-    if l is not None:
-        # the projection depends on the block as a set, so mask order serves
+    l = int(gamma.min()) // A.n
+    if A.kind == CDP and np.array_equal(np.sort(gamma), np.arange(l * A.n, (l + 1) * A.n)):
+        # mask l's whole block: the projection depends on the block as a set
         return _mask_projection(z, l, yv, A)
-
     return _block_projection(z, gamma, yv, A)
 
 
-def _resolve_batch_step(cfg, A, z0):
-    if cfg.algorithm == "rwf":
-        if cfg.mu is not None:
-            return cfg.mu
-        return RWF_STEP_COMPLEX if A.field == COMPLEX else RWF_STEP_REAL
-    mu = WF_STEP if cfg.mu is None else cfg.mu
-    nz0 = float(np.linalg.norm(z0))
-    return mu / nz0**2 if nz0 > 0 else mu
+def _gradient_step(z, fz, y, A, mu, residual):
+    """z -= (mu/m) A^*(residual(A z, y)), the batch step; fz is A z if known, else None."""
+    g = A.adjoint_apply(residual(A.apply(z) if fz is None else fz, y))
+    g *= mu / A.m  # scaled in place: the roundings of z - (mu/m) g, no temporary
+    z -= g
+    return z
+
+
+def _rwf_pass(cfg, A, y, z0):
+    mu = cfg.mu or (RWF_STEP_COMPLEX if A.field == COMPLEX else RWF_STEP_REAL)
+    return (lambda z, fz: _gradient_step(z, fz, y, A, mu, _amplitude_residual)), 1
+
+
+def _wf_pass(cfg, A, y, z0):
+    mu, nz0 = cfg.mu or WF_STEP, float(np.linalg.norm(z0))
+    mu = mu / nz0**2 if nz0 > 0 else mu
+    return (lambda z, fz: _gradient_step(z, fz, y, A, mu, _intensity_residual)), 1
+
+
+def _irwf_pass(cfg, A, y, z0, steps=None):
+    # Python objects, once per run; row views index in a third of the 2-D array's time
+    rng, m, y = substream(cfg.seed, "solver"), A.m, y.tolist()
+    row = list(A.rows).__getitem__ if isinstance(A, GaussianEnsemble) else A.row
+    steps = steps or [cfg.rho0 / A.n] * m
+    return (lambda z, fz: _sample_updates(z, rng.integers(0, m, m).tolist(), y, steps, row)), 1
+
+
+def _kaczmarz_pass(cfg, A, y, z0):
+    sq = A.row_sqnorms()
+    if not sq.all():
+        raise ValueError("zero sensing row %d" % np.flatnonzero(sq == 0)[0])
+    return _irwf_pass(cfg, A, y, z0, (1.0 / sq).tolist())
+
+
+def _minibatch_pass(cfg, A, y, z0):
+    rng, m, k, step = substream(cfg.seed, "solver"), A.m, cfg.minibatch_k, cfg.rho0 / A.n
+    return (lambda z, fz: _block_update(z, rng.choice(m, k, replace=False), y, A, step)), -(-m // k)
+
+
+def _block_kaczmarz_pass(cfg, A, y, z0):
+    rng, m, k = substream(cfg.seed, "solver"), A.m, cfg.minibatch_k
+    if A.kind == CDP and k == A.n:  # whole-mask blocks: the pseudoinverse is a 1/n scaling
+        return (lambda z, fz: _mask_projection(z, int(rng.integers(0, A.L)), y, A)), A.L
+    return (lambda z, fz: _block_projection(z, rng.choice(m, k, replace=False), y, A)), -(-m // k)
+
+
+# algorithm: (build, the name of its monitor's loss, the messages of the sizes
+# minibatch_k may not exceed, m then n).  build(cfg, A, y, z0) runs once per
+# run and gives (update, count): a pass is count calls z = update(z, fz).
+_K_OVER = "minibatch_k exceeds measurement count", "block size exceeds n (row-independence regime)"
+_PASSES = {
+    "rwf": (_rwf_pass, "amplitude_loss", ()),
+    "wf": (_wf_pass, "intensity_loss", ()),
+    "irwf": (_irwf_pass, "amplitude_loss", ()),
+    "minibatch_irwf": (_minibatch_pass, "amplitude_loss", _K_OVER[:1]),
+    "kaczmarz_pr": (_kaczmarz_pass, "amplitude_loss", ()),
+    "block_kaczmarz_pr": (_block_kaczmarz_pass, "amplitude_loss", _K_OVER),
+}
+ALGORITHMS = tuple(_PASSES)
 
 
 def run(y, A, z0, cfg, x_opt=None):
@@ -328,30 +352,15 @@ def run(y, A, z0, cfg, x_opt=None):
     """
     z, yv = _checked_copy(z0, y, A, "z0", finite=True)
     _instance(cfg, SolverConfig, "cfg").validate(A.m, A.n)
-    alg = cfg.algorithm
-    m, n = A.m, A.n
-    # only the sampling algorithms draw indices
-    rng = None if alg in ("rwf", "wf") else substream(cfg.seed, "solver")
-    k = min(cfg.minibatch_k, m)
-    updates_per_pass = -(-m // k)  # ceil(m/k)
-    step = cfg.rho0 / n
-    if alg in ("rwf", "wf"):
-        mu = _resolve_batch_step(cfg, A, z)
-    elif alg in ("irwf", "kaczmarz_pr"):
-        # per-sample loop state as Python scalars, converted once per run
-        if alg == "kaczmarz_pr" and not A.row_sqnorms().all():
-            raise ValueError("zero sensing row %d" % np.flatnonzero(A.row_sqnorms() == 0)[0])
-        steps = (1.0 / A.row_sqnorms()).tolist() if alg == "kaczmarz_pr" else [step] * m
-        yl = yv.tolist()
-        row = list(A.rows).__getitem__ if isinstance(A, GaussianEnsemble) else A.row
+    build, loss_name, _ = _PASSES[cfg.algorithm]
+    update, count = build(cfg, A, yv, z)
+    loss_fn = globals()[loss_name]  # its binding now, which a profiler may have wrapped
 
     use_loss = x_opt is None
     if not use_loss:
         # relative_error's checks and ||x_opt||, once per run
-        x_opt = _check_pair(z, as_signal(x_opt, n, "x_opt"), "x_opt")[1]
+        x_opt = _check_pair(z, as_signal(x_opt, A.n, "x_opt"), "x_opt")[1]
         nx = _reference_norm(x_opt)
-    loss_fn = intensity_loss if alg == "wf" else amplitude_loss
-    residual = _intensity_residual if alg == "wf" else _amplitude_residual
 
     def observe(zc):
         fz = A.apply(zc)
@@ -359,8 +368,6 @@ def run(y, A, z0, cfg, x_opt=None):
         rel = float("nan") if use_loss else _distance(zc, x_opt) / nx
         return fz, rel, loss, (loss if use_loss else rel)
 
-    # fz holds A z for the current z once observe() has computed it, so a
-    # recorded batch pass costs one forward product, not two
     fz, rel0, loss0, gauge0 = observe(z)
     history = [(0, rel0, loss0)]
     if gauge0 <= cfg.tol:
@@ -368,26 +375,9 @@ def run(y, A, z0, cfg, x_opt=None):
     guard = DIVERGENCE_FACTOR * gauge0
 
     for p in range(1, cfg.max_passes + 1):
-        if alg in ("rwf", "wf"):
-            if fz is None:
-                fz = A.apply(z)
-            # scaled in place: the roundings of z - (mu/m) g, no temporary
-            g = A.adjoint_apply(residual(fz, yv))
-            g *= mu / m
-            z -= g
-        elif alg in ("irwf", "kaczmarz_pr"):
-            z = _sample_updates(z, rng.integers(0, m, size=m).tolist(), yl, steps, row)
-        elif alg == "minibatch_irwf":
-            for _ in range(updates_per_pass):
-                _block_update(z, rng.choice(m, size=k, replace=False), yv, A, step)
-        elif A.kind == CDP and k == n:
-            # whole-mask blocks: the pseudoinverse reduces to 1/n scaling
-            for _ in range(updates_per_pass):
-                _mask_projection(z, int(rng.integers(0, A.L)), yv, A)
-        else:  # block_kaczmarz_pr
-            for _ in range(updates_per_pass):
-                _block_projection(z, rng.choice(m, size=k, replace=False), yv, A)
-        fz = None
+        for _ in range(count):
+            z = update(z, fz)
+            fz = None
 
         if p % cfg.record_every == 0 or p == cfg.max_passes:
             fz, rel, loss, gauge = observe(z)

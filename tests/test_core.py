@@ -241,8 +241,10 @@ def test_phase_is_unit_for_every_nonzero_complex_magnitude(dtype):
     info = np.finfo(np.dtype(dtype).char.lower())
     mags = [info.smallest_subnormal, 3 * info.smallest_subnormal, info.tiny / 3, info.tiny,
             info.eps, 1.0, 1e3, info.max / 4]
+    # the last three have |v| = inf in the dtype, from finite parts
     v = np.array([r * np.exp(1j * a) for r in mags for a in np.linspace(0, 6, 13)]
-                 + [r * s for r in mags for s in (1, -1, 1j, -1j)], dtype=dtype)
+                 + [r * s for r in mags for s in (1, -1, 1j, -1j)]
+                 + [info.max * s for s in (1 + 1j, -1 + 0.5j, 0.9 - 0.9j)], dtype=dtype)
     assert (v != 0).all()
     with np.errstate(all="raise"):
         out = phase(v)
@@ -262,6 +264,25 @@ def test_phase_of_a_nan_complex_entry_is_nan(dtype):
     assert out.dtype == dtype
     assert np.isnan(out[:3]).all()
     assert out[3:].tobytes() == finite.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+def test_phase_of_an_infinite_complex_entry_is_its_limit(dtype):
+    # infinite parts read as +-1 and finite ones as 0, as sign(+-inf) = +-1;
+    # a NaN part still gives NaN, and the finite entries keep their bits
+    inf, nan = float("inf"), float("nan")
+    v = np.array([complex(inf, 1), complex(inf, inf), complex(-inf, 0), complex(-3, -inf),
+                  complex(inf, nan), 3 + 4j, 0, 1e-40j], dtype=dtype)
+    with np.errstate(all="raise"):
+        out = phase(v)
+        limits = phase(np.array([1, 1 + 1j, -1, -1j], dtype=dtype))
+        finite = phase(v[5:])
+    assert out.dtype == dtype
+    assert out[:4].tobytes() == limits.tobytes()
+    if dtype == np.complex128:
+        assert out[:3].tolist() == [1, (1 + 1j) / math.sqrt(2), -1]
+    assert np.isnan(out[4])
+    assert out[5:].tobytes() == finite.tobytes()
 
 
 def test_best_phase_real_is_sign(rng):

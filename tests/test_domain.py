@@ -20,6 +20,7 @@ a reason in NO_ROW.
 """
 
 import re
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -426,11 +427,20 @@ def test_outside_the_domain_raises_the_documented_error(row, data):
     assert re.search(pattern, str(info.value)), str(info.value)
 
 
+# rows whose edge values (NaN, -inf) reach a numpy product that warns
+# "invalid value encountered" (a Gaussian or CDP adjoint, the minibatch
+# update); the result is still NaN, as documented
+WARN_AT_THE_EDGE = {"rwf_gradient.z", "wf_gradient.z", "minibatch_irwf_step.z",
+                    "CDPEnsemble.adjoint_apply"}
+
+
 @pytest.mark.parametrize("row", DOMAIN, ids=IDS)
 def test_the_edge_of_the_domain_is_accepted(row):
-    _, rule, _, _, call = row
-    for value in _valid(rule):
-        call(value)
+    row_id, rule, _, _, call = row
+    warns = row_id in WARN_AT_THE_EDGE
+    with pytest.warns(RuntimeWarning, match="invalid value") if warns else nullcontext():
+        for value in _valid(rule):
+            call(value)
 
 
 # callables in phasekit.__all__ that take no argument a rule above covers

@@ -3,6 +3,8 @@ is supposed to exhibit.  Statistical thresholds were calibrated against the
 frozen seeds used here; see the inline notes.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -603,6 +605,50 @@ def test_run_validation_errors():
         run(y, A, np.ones(5), SolverConfig())
     with pytest.raises(ValueError):
         run(Measurements(np.ones(17)), A, x, SolverConfig())
+
+
+K_OVER_M = "minibatch_k exceeds measurement count"
+K_OVER_N = "block size exceeds n (row-independence regime)"
+
+
+# (m, n, k, the message of each algorithm that refuses k); the others accept it
+BLOCK_BOUNDS = [
+    (12, 6, 13, {"minibatch_irwf": K_OVER_M, "block_kaczmarz_pr": K_OVER_M}),
+    (12, 6, 7, {"block_kaczmarz_pr": K_OVER_N}),
+    (12, 6, 6, {}),
+    (6, 12, 7, {"minibatch_irwf": K_OVER_M, "block_kaczmarz_pr": K_OVER_M}),
+    (6, 12, 13, {"minibatch_irwf": K_OVER_M, "block_kaczmarz_pr": K_OVER_M}),
+    (6, 12, 6, {}),
+    (None, 6, 7, {"block_kaczmarz_pr": K_OVER_N}),
+    (12, None, 13, {"minibatch_irwf": K_OVER_M, "block_kaczmarz_pr": K_OVER_M}),
+    (None, None, 13, {}),
+]
+
+
+@pytest.mark.parametrize("m, n, k, refused", BLOCK_BOUNDS)
+def test_validate_bounds_the_block_size(m, n, k, refused):
+    assert ALGORITHMS == ("rwf", "wf", "irwf", "minibatch_irwf", "kaczmarz_pr", "block_kaczmarz_pr")
+    for alg in ALGORITHMS:
+        cfg = SolverConfig(algorithm=alg, minibatch_k=k)
+        if alg in refused:
+            with pytest.raises(ValueError, match="^%s$" % re.escape(refused[alg])):
+                cfg.validate(m, n)
+        else:
+            cfg.validate(m, n)
+
+
+def test_run_monitors_through_the_module_loss(monkeypatch):
+    # run() looks its loss up in the module, so a wrapper installed there (a
+    # profiler's span) sees every recorded pass
+    calls = []
+    for name in ("amplitude_loss", "intensity_loss"):
+        loss = getattr(solvers, name)
+        monkeypatch.setattr(solvers, name, lambda fz, y, loss=loss, name=name: calls.append(name) or loss(fz, y))
+    A, x, y = _instance(8, 48, REAL, seed=59)
+    z0 = random_signal(8, REAL, substream(591))
+    for alg in ("rwf", "wf", "kaczmarz_pr"):
+        run(y, A, z0, SolverConfig(algorithm=alg, max_passes=2, tol=1e-300))
+    assert calls == ["amplitude_loss"] * 3 + ["intensity_loss"] * 3 + ["amplitude_loss"] * 3
 
 
 def test_run_is_deterministic():
