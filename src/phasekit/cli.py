@@ -2,10 +2,11 @@
 
     phasekit <command> [--config FILE] [flags...]
 
-`phasekit --help` lists the commands, one per experiment.  Each command's
-flags are ExperimentConfig's fields, as each field declares them (besides
---config).  Flags override config-file values, which override the built-in
-defaults.
+`phasekit --help` lists the commands, one per experiment.  Besides
+--config, a command's flags are those of the ExperimentConfig fields its
+experiment reads (EXPERIMENTS), in field order, as each field declares
+them; any other flag is an error.  A config file takes every field.  Flags
+override config-file values, which override the built-in defaults.
 
 Exit codes: 0 success, 1 configuration error (unknown flag/key, bad value,
 unreadable config), 2 runtime failure during the experiment.
@@ -45,13 +46,13 @@ def build_parser():
     parser.add_argument("--version", action="version", version="phasekit " + __version__)
     sub = parser.add_subparsers(dest="command", metavar="command")
 
-    for experiment, (command, _, _, text) in EXPERIMENTS.items():
+    for experiment, (command, _, _, text, reads) in EXPERIMENTS.items():
         sp = sub.add_parser(command, help=text, description=text)
         sp.set_defaults(experiment=experiment)
         sp.add_argument("--config", metavar="FILE", help="flat key = value config file")
         for f in fields(ExperimentConfig):
             meta = f.metadata
-            if meta["flag"] and meta["experiment"] in (None, experiment):
+            if f.name in reads:
                 # a flag the user did not pass stays out of the namespace, so
                 # every attribute present is an override (`--mu none` included)
                 sp.add_argument(

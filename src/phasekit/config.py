@@ -32,13 +32,12 @@ class ConfigError(ValueError):
     """Invalid configuration: unknown key, bad value, or broken invariant."""
 
 
-def _option(default, flag=None, text=None, choices=None, experiment=None):
-    """A field with its command-line surface: its flag and help, the values
-    it may take, and the one EXPERIMENTS key that reads it (None: every
-    experiment).  cli.build_parser makes the flags from these, and validate
-    checks the choices."""
-    return field(default=default, metadata={"flag": flag, "help": text, "choices": choices,
-                                            "experiment": experiment})
+def _option(default, flag=None, text=None, choices=None):
+    """A field with its command-line surface: its flag and help, and the
+    values it may take.  cli.build_parser makes the flags from these, for
+    the commands whose experiment reads the field (EXPERIMENTS), and
+    validate checks the choices."""
+    return field(default=default, metadata={"flag": flag, "help": text, "choices": choices})
 
 
 @dataclass
@@ -66,11 +65,9 @@ class ExperimentConfig:
                             "comma-separated noise levels for sweeps")
     seed: int = _option(1, "--seed", "master seed")
     output_path: str = _option("", "--out", "output CSV path (or directory)")
-    image_path: str = _option("", "--image", "input plain PGM file", experiment="image_demo")
-    rho_grid: int = _option(41, "--rho-grid", "number of correlation grid points",
-                            experiment="loss_surface")
-    normz_grid: int = _option(21, "--normz-grid", "number of ||z|| grid points",
-                              experiment="loss_surface")
+    image_path: str = _option("", "--image", "input plain PGM file")
+    rho_grid: int = _option(41, "--rho-grid", "number of correlation grid points")
+    normz_grid: int = _option(21, "--normz-grid", "number of ||z|| grid points")
     jobs: int = _option(1, "--jobs", "trial-level worker processes (default 1)")
 
     def validate(self):

@@ -290,12 +290,13 @@ def run_image_demo(cfg):
     cfg.output_path (a directory).  An all-zero image short-circuits to an
     all-zero recovery with zero passes; there is nothing to initialize.
     """
-    out_dir = cfg.output_path or EXPERIMENTS["image_demo"][2]
-    os.makedirs(out_dir, exist_ok=True)
+    # the image is read, and checked, before any output exists
     if cfg.image_path:
         img, maxval = read_pgm(cfg.image_path)
     else:
         img, maxval = synthetic_image(), 255
+    out_dir = cfg.output_path or EXPERIMENTS["image_demo"][2]
+    os.makedirs(out_dir, exist_ok=True)
     h, w = img.shape
     n = h * w
     x = img.ravel().astype(np.float64) / maxval
@@ -349,22 +350,42 @@ def run_loss_surface(cfg):
     return _table(cfg, rows)
 
 
-# experiment -> (CLI command, driver, default output path, description)
+# The ExperimentConfig fields each experiment reads, in named groups.  Each
+# row below ends with its experiment's set, and its CLI command offers
+# exactly those fields' flags.  Every experiment reads output_path; the CSV
+# echo reads every field and does not count.
+_INSTANCE = frozenset({"n", "m_over_n", "masks", "model", "trials", "seed"})
+_SOLVER = frozenset({"algorithms", "success_tol", "iteration_budget", "minibatch_k", "mu",
+                     "rho0", "record_every"})
+_NOISE = frozenset({"noise_kind", "noise_level", "alphas"})
+_JOBS = frozenset({"jobs"})
+_OUT = frozenset({"output_path"})
+
+# experiment -> (CLI command, driver, default output path, description, fields read)
 EXPERIMENTS = {
     "phase_transition": ("phase-transition", run_phase_transition, "phase_transition.csv",
-                         "success rate vs number of measurements"),
+                         "success rate vs number of measurements",
+                         _INSTANCE | _SOLVER | _NOISE | _JOBS | _OUT),
     "convergence_race": ("converge", run_convergence_race, "convergence_race.csv",
-                         "mean passes to a target error, shared initialization"),
+                         "mean passes to a target error, shared initialization",
+                         _INSTANCE | _SOLVER | _NOISE | _JOBS | _OUT),
     "init_accuracy": ("init-accuracy", run_init_accuracy, "init_accuracy.csv",
-                      "spectral initialization error vs sample size"),
+                      "spectral initialization error vs sample size",
+                      _INSTANCE | _NOISE | _JOBS | _OUT),
+    # the levels are the alphas, bounded noise's included
     "noise_sweep": ("noise-sweep", run_noise_sweep, "noise_sweep.csv",
-                    "final error vs noise level"),
+                    "final error vs noise level",
+                    _INSTANCE | _SOLVER | (_NOISE - {"noise_level"}) | _JOBS | _OUT),
     "recover": ("recover", run_recover, "recover_trace.csv",
-                "single recovery runs with full per-pass traces"),
+                "single recovery runs with full per-pass traces",
+                _INSTANCE | _SOLVER | _NOISE | _OUT),
+    # n comes from the image, and one instance is solved, through CDP masks
     "image_demo": ("image-demo", run_image_demo, "image_demo_out",
-                   "recover a small grayscale image through CDP masks"),
+                   "recover a small grayscale image through CDP masks",
+                   _SOLVER | _NOISE | _OUT | {"masks", "seed", "image_path"}),
     "loss_surface": ("loss-surface", run_loss_surface, "loss_surface.csv",
-                     "expected amplitude/intensity loss grid dump"),
+                     "expected amplitude/intensity loss grid dump",
+                     _OUT | {"rho_grid", "normz_grid"}),
 }
 
 
@@ -374,7 +395,7 @@ def execute(cfg):
     Returns (table, output_path).  The image demo manages its own output
     directory; every other experiment writes a single CSV file.
     """
-    _, driver, default_path, _ = EXPERIMENTS[cfg.experiment]
+    _, driver, default_path, _, _ = EXPERIMENTS[cfg.experiment]
     table = driver(cfg)
     path = cfg.output_path or default_path
     if cfg.experiment != "image_demo":

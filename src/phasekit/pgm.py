@@ -7,13 +7,24 @@ line) are honored on read and never written.
 
 import numpy as np
 
+from .core import _count
+
+# the format's largest maxval: a pixel is at most two bytes
+_MAX_MAXVAL = 65535
+
 
 def write_pgm(path, image, maxval=255):
+    """Write a 2-D image of finite values, rounded to integers in [0,
+    maxval], for an integer maxval (not a bool) in [1, 65535]; else
+    ValueError."""
     img = np.asarray(image)
     if img.ndim != 2:
         raise ValueError("image must be 2-D")
-    if maxval < 1 or maxval > 65535:
+    maxval = _count(maxval, "maxval", 1)
+    if maxval > _MAX_MAXVAL:
         raise ValueError("maxval out of range")
+    if not np.isfinite(img).all():
+        raise ValueError("pixel values must be finite")
     vals = np.rint(img).astype(np.int64)
     if vals.min() < 0 or vals.max() > maxval:
         raise ValueError("pixel values outside [0, maxval]")
@@ -43,6 +54,8 @@ def read_pgm(path):
     w, h, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
     if w < 1 or h < 1 or maxval < 1:
         raise ValueError("bad PGM dimensions")
+    if maxval > _MAX_MAXVAL:
+        raise ValueError("PGM maxval %d out of range" % maxval)
     data = tokens[4:]
     if len(data) != w * h:
         raise ValueError("PGM pixel count mismatch: got %d, want %d" % (len(data), w * h))

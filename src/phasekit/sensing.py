@@ -19,6 +19,11 @@ clean intensity.
 
 Every vector an ensemble takes passes core.as_signal at its length, NaN
 allowed; Ensemble._check_measurements is the one rule for a y.
+
+Ensembles and Measurements own their arrays, read-only: a constructor keeps
+a read-only copy of what its caller passed in, while make_gaussian and
+make_cdp hand over the arrays they drew, with no copy and no rescan, and
+measure its y, read-only, with no copy.
 """
 
 from dataclasses import dataclass, field
@@ -46,7 +51,9 @@ class Measurements:
     provenance is one of 'clean', 'bounded', 'poisson'; noise_meta carries
     the noise scale actually applied (and for bounded noise, how many
     entries were clipped at zero).  values follows core.as_signal, and
-    must also be real and nonnegative (ValueError).
+    must also be real and nonnegative (ValueError).  It is kept
+    read-only: as it is if it is read-only already and owns its memory, as
+    measure hands over its own, else as a copy.
     """
 
     values: np.ndarray
@@ -59,6 +66,11 @@ class Measurements:
             raise ValueError("measurements must be real and nonnegative")
         if self.provenance not in ("clean", "bounded", "poisson"):
             raise ValueError("unknown provenance %r" % self.provenance)
+        # a read-only array that owns its memory (measure's) is kept as it is,
+        # any other copied: a write to the caller's array must not reach a y
+        # that passed the checks
+        if v.flags.writeable or not v.flags.owndata:
+            v = _frozen(v.copy())
         object.__setattr__(self, "values", v)
 
     @property
@@ -123,6 +135,16 @@ class Ensemble:
         self.m = int(m)
         self.seed = seed
 
+    @classmethod
+    def _adopt(cls, array, seed):
+        """The ensemble on array, which its factory drew for it alone: taken
+        read-only, with no copy and no rescan.  A subclass's constructor
+        checks and copies its caller's array, then hands it to _own, as
+        this does."""
+        A = cls.__new__(cls)
+        A._own(array, seed)
+        return A
+
     @property
     def field(self):
         """The field of the rows: REAL for real Gaussian rows, else COMPLEX."""
@@ -171,12 +193,23 @@ class Ensemble:
 
 
 class GaussianEnsemble(Ensemble):
-    """Dense Gaussian rows; real N(0,1) or complex with re/im N(0, 1/2)."""
+    """Dense Gaussian rows; real N(0,1) or complex with re/im N(0, 1/2).
+
+    rows is one row (1-D) or a stack of them (2-D) with finite entries;
+    ValueError for any other shape, for no rows or no columns, and, by
+    core.as_signal's rule, for a non-numeric dtype or a NaN or infinite
+    entry.  The ensemble keeps a read-only float64 (complex128) copy.
+    """
 
     def __init__(self, rows, seed):
-        rows = np.ascontiguousarray(rows)
+        rows = np.atleast_2d(rows)
+        if rows.ndim != 2 or rows.size == 0:
+            raise ValueError("rows must be a nonempty 1-D or 2-D array")
+        self._own(as_signal(rows.ravel(), name="rows").reshape(rows.shape).copy(), seed)
+
+    def _own(self, rows, seed):
         super().__init__(rows.shape[1], rows.shape[0], seed)
-        self.rows = rows
+        self.rows = _frozen(rows)
         self.kind = COMPLEX if np.iscomplexobj(rows) else REAL
         self._sqnorms = None  # row_sqnorms(), once it has been called
 
@@ -221,15 +254,18 @@ class CDPEnsemble(Ensemble):
     kind = CDP
 
     def __init__(self, masks, seed):
-        masks = np.ascontiguousarray(masks, dtype=np.complex128)
+        # a copy: _masks_conj is computed once, from the masks as they are now
+        self._own(np.array(masks, dtype=np.complex128, order="C"), seed)
+
+    def _own(self, masks, seed):
         L, n = masks.shape
         super().__init__(n, n * L, seed)
         self.L = L
-        self.masks = masks
-        self._masks_conj = np.conj(masks)
+        self.masks = _frozen(masks)
+        self._masks_conj = _frozen(np.conj(masks))
         # conj(W_j) for W_j = exp(-2 pi i j/n): DFT row k is W_((k j) mod n),
         # so no phase is evaluated at an argument beyond 2 pi
-        self._twiddle_conj = np.exp(2j * np.pi * np.arange(n) / n)
+        self._twiddle_conj = _frozen(np.exp(2j * np.pi * np.arange(n) / n))
 
     def apply(self, z):
         # the complex masks cast a real z, and the FFTs a real v, to complex128
@@ -273,6 +309,12 @@ class CDPEnsemble(Ensemble):
 
     def descriptor(self):
         return {"kind": self.kind, "n": self.n, "L": self.L, "seed": self.seed}
+
+
+def _frozen(a):
+    """a, set read-only."""
+    a.flags.writeable = False
+    return a
 
 
 def _check_index(i, count, name="row index"):
@@ -319,7 +361,7 @@ def make_gaussian(n, m, field, seed):
                 np.multiply(rng.standard_normal(block.shape), scale, out=block)
     else:
         raise ValueError("unknown field %r" % (field,))
-    return GaussianEnsemble(rows, seed)
+    return GaussianEnsemble._adopt(rows, seed)
 
 
 def make_cdp(n, L, seed):
@@ -328,21 +370,13 @@ def make_cdp(n, L, seed):
     n, L = _count(n, "n", 2), _count(L, "L", 1)
     rng = substream(seed, "ensemble")
     masks = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=(L, n)))
-    return CDPEnsemble(masks, seed)
+    return CDPEnsemble._adopt(masks, seed)
 
 
 def from_rows(rows, seed=None):
-    """Ensemble with explicitly given rows a_i (handy for small examples).
-
-    rows is one row (1-D) or a stack of them (2-D) with finite entries;
-    ValueError for any other shape, for no rows or no columns, and, by
-    core.as_signal's rule, for a non-numeric dtype or a NaN or infinite entry.
-    """
-    rows = np.atleast_2d(rows)
-    if rows.ndim != 2 or rows.size == 0:
-        raise ValueError("rows must be a nonempty 1-D or 2-D array")
-    # a copy, so the ensemble never shares the caller's array
-    return GaussianEnsemble(as_signal(rows.ravel(), name="rows").reshape(rows.shape).copy(), seed)
+    """Ensemble with explicitly given rows a_i (handy for small examples),
+    which GaussianEnsemble's rule takes."""
+    return GaussianEnsemble(rows, seed)
 
 
 def from_descriptor(d):
@@ -362,7 +396,7 @@ def measure(A, x, noise=None):
     m, and w must be real."""
     mag = np.abs(_instance(A, Ensemble, "A").apply(as_signal(x, A.n, "x")))
     if noise is None or _instance(noise, NoiseSpec, "noise").kind == "none":
-        return Measurements(mag, "clean", {})
+        return Measurements(_frozen(mag), "clean", {})
     if noise.kind == "bounded":
         if noise.w is not None:
             w = as_signal(noise.w, A.m, "w")
@@ -373,9 +407,9 @@ def measure(A, x, noise=None):
         clipped = int(np.count_nonzero(y < 0))
         np.maximum(y, 0.0, out=y)
         meta = {"w_rms": float(np.linalg.norm(w) / np.sqrt(A.m)), "clipped": clipped}
-        return Measurements(y, "bounded", meta)
+        return Measurements(_frozen(y), "bounded", meta)
     # poisson, the one kind left: NoiseSpec refuses any other
     rng = substream(noise.seed, "poisson-noise")
     lam = mag**2 / noise.alpha
     y = np.sqrt(noise.alpha * rng.poisson(lam).astype(np.float64))
-    return Measurements(y, "poisson", {"alpha": float(noise.alpha)})
+    return Measurements(_frozen(y), "poisson", {"alpha": float(noise.alpha)})

@@ -34,6 +34,7 @@ from phasekit import (
     ConfigError,
     CorrelationState,
     ExperimentConfig,
+    GaussianEnsemble,
     InitParams,
     Measurements,
     NoiseSpec,
@@ -304,6 +305,7 @@ DOMAIN = [
     # elementwise: any shape, refused only for a dtype that is not numeric
     ("phase.v", _NUMERIC, ValueError, "v", lambda v: phase(v)),
     ("from_rows.rows", _NUMERIC, ValueError, "rows", lambda v: from_rows(v)),
+    ("GaussianEnsemble.rows", _NUMERIC, ValueError, "rows", lambda v: GaussianEnsemble(v, 0)),
     ("load_config.overrides", _counts(1), ConfigError, "n",
      lambda v: load_config(None, overrides={"n": v})),
 ]

@@ -38,7 +38,7 @@ from phasekit.experiments import (
 )
 from phasekit.pgm import read_pgm, write_pgm
 from phasekit.results import ResultTable, csv_fingerprint, read_csv, write_csv
-from phasekit.sensing import KINDS
+from phasekit.sensing import KINDS, NOISE_KINDS
 from phasekit.solvers import SolverConfig
 
 
@@ -245,7 +245,7 @@ def test_validate_accepts_numpy_integers():
 
 
 def test_experiment_table_drives_cli_and_validation():
-    for experiment, (command, _, _, _) in EXPERIMENTS.items():
+    for experiment, (command, _, _, _, _) in EXPERIMENTS.items():
         assert build_parser().parse_args([command]).experiment == experiment
         ExperimentConfig(experiment=experiment).validate()
 
@@ -419,6 +419,26 @@ def test_pgm_read_errors(tmp_path):
         p.write_text(text)
         with pytest.raises(ValueError):
             read_pgm(str(p))
+
+
+def test_pgm_refuses_what_the_format_cannot_hold(tmp_path, capsys):
+    big = tmp_path / "big.pgm"
+    big.write_text("P2\n4 4\n70000\n" + " ".join(["69999"] * 16) + "\n")
+    with pytest.raises(ValueError, match="maxval"):
+        read_pgm(str(big))
+    # the image is read before the output directory is made
+    out = tmp_path / "demo"
+    assert main(["image-demo", "--image", str(big), "--out", str(out), "--budget", "20"]) == 2
+    assert "maxval" in capsys.readouterr().err
+    assert not out.exists()
+    path = str(tmp_path / "t.pgm")
+    for maxval in (255.5, 255.0, True, 70000):
+        with pytest.raises(ValueError, match="maxval"):
+            write_pgm(path, np.zeros((2, 2)), maxval=maxval)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="pixel values must be finite"):
+            write_pgm(path, np.array([[1.0, bad]]))
+    assert not os.path.exists(path)
 
 
 def test_pgm_read_honors_comments(tmp_path):
@@ -838,21 +858,47 @@ def _command_flags():
 
 def test_each_field_is_a_flag_on_the_commands_it_names():
     flags = _command_flags()
-    assert set(flags) == {command for command, _, _, _ in EXPERIMENTS.values()}
-    for f in fields(ExperimentConfig):
-        on = {command for command, table in flags.items() if f.name in table.values()}
-        if f.name == "experiment":  # the command itself sets it
-            assert not on
-            continue
-        only = f.metadata["experiment"]
-        assert on == ({EXPERIMENTS[only][0]} if only else set(flags)), f.name
-        for command in on:
-            assert flags[command][f.metadata["flag"]] == f.name
-    # the fields that one experiment alone reads
-    single = {f.name: f.metadata["experiment"] for f in fields(ExperimentConfig)
-              if f.metadata["experiment"]}
-    assert single == {"image_path": "image_demo", "rho_grid": "loss_surface",
-                      "normz_grid": "loss_surface"}
+    assert set(flags) == {row[0] for row in EXPERIMENTS.values()}
+    for command, _, _, _, reads in EXPERIMENTS.values():
+        # the fields the experiment reads, in field order, each under its own flag
+        assert list(flags[command].values()) == [f.name for f in fields(ExperimentConfig)
+                                                 if f.name in reads], command
+        for flag, name in flags[command].items():
+            assert flag == ExperimentConfig.__dataclass_fields__[name].metadata["flag"]
+
+
+def _traced_reads(monkeypatch, tmp_path, experiment, model, noise_kind):
+    """The ExperimentConfig fields execute reads for one toy run."""
+    names = {f.name for f in fields(ExperimentConfig)}
+    read = set()
+
+    class Recording(ExperimentConfig):
+        def __getattribute__(self, name):
+            if name in names:
+                read.add(name)
+            return super().__getattribute__(name)
+
+    cfg = Recording(experiment=experiment, n=8, model=model, masks=(2,), trials=1,
+                    iteration_budget=2, noise_kind=noise_kind,
+                    output_path=str(tmp_path / experiment), rho_grid=3,
+                    normz_grid=2).validate()
+    read.clear()
+    # the echo reads every field, for the CSV metadata
+    monkeypatch.setattr("phasekit.experiments.config_echo", lambda cfg: {})
+    execute(cfg)
+    return read
+
+
+def test_each_command_offers_the_fields_its_driver_reads(monkeypatch, tmp_path):
+    flags = _command_flags()
+    for experiment, (command, _, _, _, reads) in EXPERIMENTS.items():
+        traced = set()
+        for model in MODELS:
+            for noise_kind in NOISE_KINDS:
+                traced |= _traced_reads(monkeypatch, tmp_path, experiment, model, noise_kind)
+        traced.discard("experiment")  # set by the command
+        assert traced == set(reads), experiment
+        assert set(flags[command].values()) == traced, command
 
 
 def test_every_flag_is_a_field():
@@ -972,8 +1018,15 @@ def test_cli_unknown_command_exits_1(capsys):
     capsys.readouterr()
 
 
-def test_cli_unknown_flag_exits_1(capsys):
+def test_cli_unknown_flag_exits_1(tmp_path, capsys):
     assert main(["recover", "--frobnicate", "3"]) == 1
+    # a flag of a field the experiment does not read is unknown to its command
+    for argv in (["recover", "--jobs", "2"], ["loss-surface", "--seed", "3"],
+                 ["noise-sweep", "--noise-level", "0.1"], ["image-demo", "--n", "16"],
+                 ["init-accuracy", "--algo", "irwf"]):
+        out = tmp_path / "x.csv"
+        assert main(argv + ["--out", str(out)]) == 1, argv
+        assert not out.exists()
     capsys.readouterr()
 
 

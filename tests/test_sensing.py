@@ -12,6 +12,7 @@ from phasekit.sensing import (
     BLOCK_ROWS,
     L1_LEAF,
     CDPEnsemble,
+    GaussianEnsemble,
     Measurements,
     NoiseSpec,
     from_descriptor,
@@ -128,6 +129,41 @@ def test_row_sqnorms_are_read_only(A):
     with pytest.raises(ValueError):
         A.row_sqnorms()[0] = 0.0
     assert A.row_sqnorm(0) > 0
+
+
+def test_ensembles_and_measurements_own_their_arrays():
+    # a write through an attribute, or through the array a constructor was
+    # given, raises numpy's read-only ValueError or leaves the object as it was
+    rows = np.arange(1.0, 13.0).reshape(3, 4)
+    masks = np.exp(1j * np.arange(8.0)).reshape(2, 4)
+    v = np.array([1.0, 2.0])
+    G, F, C, M = GaussianEnsemble(rows, 0), from_rows(rows), CDPEnsemble(masks, 0), Measurements(v)
+    R, D = make_gaussian(4, 12, COMPLEX, seed=1), make_cdp(4, 2, seed=1)
+    Y = measure(R, np.ones(4))
+    z = np.arange(1.0, 5.0) + 1j
+
+    def state():
+        return [G.apply(z), G.row_sqnorms().copy(), F.apply(z), C.apply(z),
+                C.adjoint_apply(C.apply(z)), M.values.copy(), R.apply(z), R.row_sqnorms().copy(),
+                D.adjoint_apply(D.apply(z)), Y.values.copy()]
+
+    def scale(a):
+        a *= 2
+
+    def negate(a):
+        a[...] = -1
+
+    writes = [(scale, lambda: G.rows), (negate, lambda: G.row(0)), (negate, lambda: F.rows),
+              (negate, lambda: C.masks), (negate, lambda: M.values), (scale, lambda: R.rows),
+              (negate, lambda: R.row(1)), (negate, lambda: D.masks), (negate, lambda: Y.values),
+              (negate, lambda: rows), (negate, lambda: masks), (negate, lambda: v)]
+    for write, target in writes:
+        before = state()
+        try:
+            write(target())
+        except ValueError as exc:
+            assert "read-only" in str(exc)
+        assert all(np.array_equal(a, b) for a, b in zip(before, state()))
 
 
 def test_gaussian_rejects_zero_dimensions():
@@ -399,13 +435,15 @@ def test_measurements_validation():
 
 
 def test_from_rows_validation():
-    for bad in (np.ones((2, 2, 2)), [[np.nan, 1.0]], [[1.0, np.inf]], [[1j * np.nan]],
-                np.zeros((0, 3)), np.zeros((3, 0)), []):
-        with pytest.raises(ValueError):
-            from_rows(bad)
-    A = from_rows([1.0, 2.0])  # one row
-    assert (A.m, A.n, A.kind) == (1, 2, REAL)
-    assert from_rows([[1j, 0]]).kind == COMPLEX
+    # the public constructor takes the same rule
+    for build in (from_rows, lambda rows: GaussianEnsemble(rows, 0)):
+        for bad in (np.ones((2, 2, 2)), [[np.nan, 1.0]], [[1.0, np.inf]], [[1j * np.nan]],
+                    np.zeros((0, 3)), np.zeros((3, 0)), [], np.array([["a", "b"]])):
+            with pytest.raises(ValueError, match="^rows must be"):
+                build(bad)
+        A = build([1.0, 2.0])  # one row
+        assert (A.m, A.n, A.kind) == (1, 2, REAL)
+        assert build([[1j, 0]]).kind == COMPLEX
 
 
 def test_noise_spec_validation():
