@@ -42,7 +42,6 @@ from .sensing import (
     Measurements,
     NoiseSpec,
     from_descriptor,
-    from_rows,
     make_cdp,
     make_gaussian,
     measure,
@@ -91,7 +90,6 @@ __all__ = [
     "expected_rwf_loss",
     "expected_wf_loss",
     "from_descriptor",
-    "from_rows",
     "irwf_step",
     "kaczmarz_step",
     "load_config",

@@ -99,6 +99,16 @@ class ExperimentConfig:
             raise ConfigError("every m_over_n must give m > n")
         if not self.algorithms:
             raise ConfigError("need at least one algorithm")
+        # a driver that runs one size (the image demo: one mask count and one
+        # algorithm) refuses a list it would cut short to its first entry
+        sized = "masks" if self.model == "cdp" else "m_over_n"
+        single = {"convergence_race": (sized,), "noise_sweep": (sized,), "recover": (sized,),
+                  "image_demo": ("masks", "algorithms")}
+        for name in single.get(self.experiment, ()):
+            count = len(getattr(self, name))
+            if count != 1:
+                raise ConfigError("%s must hold one entry for %s, not %d"
+                                  % (name, self.experiment, count))
         _level(self.success_tol, "success_tol", error=ConfigError)
         _level(self.noise_level, "noise_level", zero_ok=True, error=ConfigError)
         for a in self.alphas or (None,):

@@ -24,6 +24,13 @@ Ensembles and Measurements own their arrays, read-only: a constructor keeps
 a read-only copy of what its caller passed in, while make_gaussian and
 make_cdp hand over the arrays they drew, with no copy and no rescan, and
 measure its y, read-only, with no copy.
+
+A seed belongs to a drawn ensemble: make_gaussian and make_cdp record the
+seed they drew from, so descriptor() rebuilds the same bytes, while
+GaussianEnsemble(rows) and CDPEnsemble(masks) take no seed, and
+descriptor() raises ValueError for them.  CDPEnsemble(masks) takes a
+nonempty L x n array of finite entries with |d| = 1 to within UNIT_TOL, the
+promise behind row_sqnorms' exact n.
 """
 
 from dataclasses import dataclass, field
@@ -42,6 +49,9 @@ NOISE_KINDS = ("none", "bounded", "poisson")
 BLOCK_ROWS = 256
 # Largest run of elements the l1 sum takes np.abs of at once.
 L1_LEAF = 65536
+# How far |d| of a caller's mask entry may sit from 1: a few ulp, as
+# make_cdp's exp(i theta) does (within one)
+UNIT_TOL = 4 * np.finfo(np.float64).eps
 
 
 @dataclass(frozen=True)
@@ -129,20 +139,19 @@ class Ensemble:
     """
 
     kind = None
-
-    def __init__(self, n, m, seed):
-        self.n = int(n)
-        self.m = int(m)
-        self.seed = seed
+    # the seed make_gaussian or make_cdp drew the ensemble from; None marks
+    # one built from its caller's arrays
+    seed = None
 
     @classmethod
     def _adopt(cls, array, seed):
-        """The ensemble on array, which its factory drew for it alone: taken
-        read-only, with no copy and no rescan.  A subclass's constructor
-        checks and copies its caller's array, then hands it to _own, as
-        this does."""
+        """The ensemble on array, which its factory drew for it alone from
+        seed: taken read-only, with no copy and no rescan.  A subclass's
+        constructor checks and copies its caller's array, then hands it to
+        _own (which sets n and m), as this does."""
         A = cls.__new__(cls)
-        A._own(array, seed)
+        A._own(array)
+        A.seed = seed
         return A
 
     @property
@@ -189,7 +198,14 @@ class Ensemble:
         return B.T @ as_signal(u, B.shape[0], "u", finite=False)
 
     def descriptor(self):
-        raise NotImplementedError
+        """The {kind, n, m|L, seed} record from_descriptor rebuilds this
+        ensemble from; ValueError for one built from its caller's arrays,
+        which no seed describes."""
+        if self.seed is None:
+            raise ValueError("descriptor needs a drawn ensemble; this one was built "
+                             "from its caller's arrays and has no seed")
+        key, size = ("L", self.L) if self.kind == CDP else ("m", self.m)
+        return {"kind": self.kind, "n": self.n, key: size, "seed": self.seed}
 
 
 class GaussianEnsemble(Ensemble):
@@ -201,14 +217,14 @@ class GaussianEnsemble(Ensemble):
     entry.  The ensemble keeps a read-only float64 (complex128) copy.
     """
 
-    def __init__(self, rows, seed):
+    def __init__(self, rows):
         rows = np.atleast_2d(rows)
         if rows.ndim != 2 or rows.size == 0:
             raise ValueError("rows must be a nonempty 1-D or 2-D array")
-        self._own(as_signal(rows.ravel(), name="rows").reshape(rows.shape).copy(), seed)
+        self._own(as_signal(rows.ravel(), name="rows").reshape(rows.shape).copy())
 
-    def _own(self, rows, seed):
-        super().__init__(rows.shape[1], rows.shape[0], seed)
+    def _own(self, rows):
+        self.m, self.n = rows.shape
         self.rows = _frozen(rows)
         self.kind = COMPLEX if np.iscomplexobj(rows) else REAL
         self._sqnorms = None  # row_sqnorms(), once it has been called
@@ -244,23 +260,32 @@ class GaussianEnsemble(Ensemble):
         """Dense M with apply(z) == M @ z (test oracle)."""
         return np.conj(self.rows) if self.kind == COMPLEX else self.rows
 
-    def descriptor(self):
-        return {"kind": self.kind, "n": self.n, "m": self.m, "seed": self.seed}
-
 
 class CDPEnsemble(Ensemble):
-    """Coded diffraction patterns: per mask l, measurements F(d_l * z)."""
+    """Coded diffraction patterns: per mask l, measurements F(d_l * z).
+
+    masks is an L x n stack of finite, unit-modulus entries (| |d| - 1 | <=
+    UNIT_TOL), on which row_sqnorms' exact n rests; ValueError for any
+    other shape, for no masks or no entries, and, by core.as_signal's
+    rule, for a non-numeric dtype or a NaN or infinite entry.  The
+    ensemble keeps a read-only complex128 copy.
+    """
 
     kind = CDP
 
-    def __init__(self, masks, seed):
+    def __init__(self, masks):
+        masks = np.asarray(masks)
+        if masks.ndim != 2 or masks.size == 0:
+            raise ValueError("masks must be a nonempty 2-D array")
+        d = as_signal(masks.ravel(), name="masks")
+        if np.any(np.abs(np.abs(d) - 1.0) > UNIT_TOL):
+            raise ValueError("masks must be unit-modulus: | |d| - 1 | <= %.3g" % UNIT_TOL)
         # a copy: _masks_conj is computed once, from the masks as they are now
-        self._own(np.array(masks, dtype=np.complex128, order="C"), seed)
+        self._own(d.astype(np.complex128).reshape(masks.shape))
 
-    def _own(self, masks, seed):
-        L, n = masks.shape
-        super().__init__(n, n * L, seed)
-        self.L = L
+    def _own(self, masks):
+        self.L, n = masks.shape
+        self.n, self.m = n, n * self.L
         self.masks = _frozen(masks)
         self._masks_conj = _frozen(np.conj(masks))
         # conj(W_j) for W_j = exp(-2 pi i j/n): DFT row k is W_((k j) mod n),
@@ -306,9 +331,6 @@ class CDPEnsemble(Ensemble):
         j = np.arange(self.n)
         F = np.exp(-2j * np.pi * np.outer(j, j) / self.n)
         return np.vstack([F * d[None, :] for d in self.masks])
-
-    def descriptor(self):
-        return {"kind": self.kind, "n": self.n, "L": self.L, "seed": self.seed}
 
 
 def _frozen(a):
@@ -371,12 +393,6 @@ def make_cdp(n, L, seed):
     rng = substream(seed, "ensemble")
     masks = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=(L, n)))
     return CDPEnsemble._adopt(masks, seed)
-
-
-def from_rows(rows, seed=None):
-    """Ensemble with explicitly given rows a_i (handy for small examples),
-    which GaussianEnsemble's rule takes."""
-    return GaussianEnsemble(rows, seed)
 
 
 def from_descriptor(d):

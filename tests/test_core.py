@@ -19,7 +19,7 @@ from phasekit.core import (
     rwf_loss,
     wf_loss,
 )
-from phasekit.sensing import Measurements, from_rows, make_cdp
+from phasekit.sensing import GaussianEnsemble, Measurements, make_cdp
 from phasekit.solvers import (
     block_kaczmarz_step,
     irwf_step,
@@ -179,7 +179,7 @@ def test_relative_error_zero_reference():
 
 
 def test_rwf_loss_exact_fit(rng):
-    A = from_rows(rng.standard_normal((12, 4)))
+    A = GaussianEnsemble(rng.standard_normal((12, 4)))
     x = rng.standard_normal(4)
     y = Measurements(np.abs(A.apply(x)))
     assert rwf_loss(x, y, A) <= 1e-30
@@ -187,11 +187,11 @@ def test_rwf_loss_exact_fit(rng):
 
 
 def test_rwf_loss_direct_substitution():
-    A = from_rows([[1.0]])
+    A = GaussianEnsemble([[1.0]])
     y = Measurements(np.array([1.0]))
     assert rwf_loss(np.array([3.0]), y, A) == 2.0
 
-    A2 = from_rows([[1.0], [-2.0]])
+    A2 = GaussianEnsemble([[1.0], [-2.0]])
     y2 = Measurements(np.array([1.0, 2.0]))
     assert rwf_loss(np.array([0.0]), y2, A2) == 1.25
 
@@ -199,7 +199,7 @@ def test_rwf_loss_direct_substitution():
 @given(st.floats(min_value=0.0, max_value=2.0 * np.pi))
 def test_rwf_loss_phase_invariant(theta):
     rng = np.random.default_rng(77)
-    A = from_rows(rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3)))
+    A = GaussianEnsemble(rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3)))
     x = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     z = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     y = Measurements(np.abs(A.apply(x)))
@@ -210,7 +210,7 @@ def test_rwf_loss_phase_invariant(theta):
 
 
 def test_losses_nonnegative(rng):
-    A = from_rows(rng.standard_normal((10, 3)))
+    A = GaussianEnsemble(rng.standard_normal((10, 3)))
     x = rng.standard_normal(3)
     y = Measurements(np.abs(A.apply(x)))
     for _ in range(20):
@@ -317,7 +317,7 @@ def test_nan_in_nan_out():
     # so do the losses, the gradients and the four steps, on real, complex
     # and coded-diffraction rows; block [0, 1] is a whole CDP mask at n = 2
     rows = np.array([[1.0, 0.5], [0.0, 1.0], [2.0, -1.0], [1.0, 1.0]])
-    for A in (from_rows(rows), from_rows(rows * (1 - 2j)), make_cdp(2, 2, seed=3)):
+    for A in (GaussianEnsemble(rows), GaussianEnsemble(rows * (1 - 2j)), make_cdp(2, 2, seed=3)):
         y = Measurements(np.abs(A.apply(x)))
         assert np.isnan(rwf_loss(z, y, A)) and np.isnan(wf_loss(z, y, A))
         for step in (rwf_gradient(z, y, A), wf_gradient(z, y, A), irwf_step(z, 0, y, A),

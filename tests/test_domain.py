@@ -8,12 +8,14 @@ in [0, m), a mask index one in [0, L), and a block of row indices a 1-D
 sequence of such.  Seeds are counts from 0 at every entry point that takes
 one.  A vector is a nonempty 1-D numeric array of its length
 (core.as_signal), finite where asked, complex where the field allows; a y
-is Measurements of the ensemble's m; an ensemble, a state, a solver config,
-init params, a noise spec and a random generator are instances of their
-class (core._instance); a config's list field is a tuple; an
-elementwise input has a numeric dtype.  Each row
-of the table names one argument or config field, the rule it follows, the
-error it documents, and a call that passes a value to it alone.  Outside
+is Measurements of the ensemble's m; a stack of CDP masks is a nonempty
+2-D numeric array of finite entries with |d| = 1 to within
+sensing.UNIT_TOL; an ensemble, a state, a solver config, init params, a
+noise spec and a random generator are instances of their class
+(core._instance); a config's list field is a tuple; an elementwise input
+has a numeric dtype.  Each row of the table names one argument or config
+field, the rule it follows, the error it documents, and a call that
+passes a value to it alone.  Outside
 the domain the call must raise that error, naming the argument; at its
 edge it must not raise.  Every callable in phasekit.__all__ has a row or
 a reason in NO_ROW.
@@ -31,6 +33,7 @@ import phasekit
 from phasekit import (
     COMPLEX,
     REAL,
+    CDPEnsemble,
     ConfigError,
     CorrelationState,
     ExperimentConfig,
@@ -46,7 +49,6 @@ from phasekit import (
     expected_rwf_loss,
     expected_wf_loss,
     from_descriptor,
-    from_rows,
     irwf_step,
     kaczmarz_step,
     load_config,
@@ -67,6 +69,7 @@ from phasekit import (
     wf_gradient,
     wf_loss,
 )
+from phasekit.sensing import UNIT_TOL
 from phasekit.streams import derive_seed, substream
 
 NAN, INF = float("nan"), float("inf")
@@ -132,6 +135,8 @@ def _tuples(*valid):
 _STATE = _objects(CorrelationState(0.5), CorrelationState(-1, 2.0, 0.0))
 _ENSEMBLE = _objects(_A)
 _NUMERIC = ("numeric", None, None)
+# a stack of L masks of n entries, each finite with |d| = 1 to within UNIT_TOL
+_MASKS = ("masks", None, None)
 
 
 # (row id, rule, documented error, name in the message, call with the value)
@@ -189,8 +194,9 @@ DOMAIN = [
      lambda v: _experiment(noise_level=v)),
     ("ExperimentConfig.alphas", _levels(), ConfigError, "alpha",
      lambda v: _experiment(alphas=(v,))),
+    # the default experiment, recover, runs one size: a sweep takes the list
     ("ExperimentConfig.m_over_n.tuple", _tuples((6.0,), (2, np.float64(2.5))), ConfigError,
-     "m_over_n", lambda v: _experiment(m_over_n=v)),
+     "m_over_n", lambda v: _experiment(experiment="phase_transition", m_over_n=v)),
     ("ExperimentConfig.masks.tuple", _tuples((2,), (np.int64(3), 12)), ConfigError, "masks",
      lambda v: _experiment(masks=v)),
     ("ExperimentConfig.algorithms.tuple", _tuples(("rwf",), ("rwf", "irwf")), ConfigError,
@@ -304,8 +310,8 @@ DOMAIN = [
      lambda v: block_kaczmarz_step(_X, [0, 1], _Y, v)),
     # elementwise: any shape, refused only for a dtype that is not numeric
     ("phase.v", _NUMERIC, ValueError, "v", lambda v: phase(v)),
-    ("from_rows.rows", _NUMERIC, ValueError, "rows", lambda v: from_rows(v)),
-    ("GaussianEnsemble.rows", _NUMERIC, ValueError, "rows", lambda v: GaussianEnsemble(v, 0)),
+    ("GaussianEnsemble.rows", _NUMERIC, ValueError, "rows", lambda v: GaussianEnsemble(v)),
+    ("CDPEnsemble.masks", _MASKS, ValueError, "masks", lambda v: CDPEnsemble(v)),
     ("load_config.overrides", _counts(1), ConfigError, "n",
      lambda v: load_config(None, overrides={"n": v})),
 ]
@@ -357,6 +363,13 @@ def _invalid(rule):
         return st.one_of(_ALWAYS_BAD, st.floats(), st.integers(), st.sampled_from(alike))
     if kind == "numeric":
         return st.one_of(_NOT_NUMERIC, st.just(None))
+    if kind == "masks":
+        # the wrong modulus, a non-finite entry, the wrong shape
+        off = st.floats(allow_nan=False).filter(lambda r: abs(abs(r) - 1) > UNIT_TOL)
+        bad = [np.full((1, 2), 1 + 2 * UNIT_TOL), np.zeros((2, 2)), [[1.0, NAN]], [[INF, 1.0]],
+               [[1j, complex(NAN, 0)]], np.ones(4), np.ones((1, 2, 2)), np.ones((0, 4)), [[]]]
+        return st.one_of(_ALWAYS_BAD, _NOT_NUMERIC, st.just(None), st.sampled_from(bad),
+                         off.map(lambda r: np.full((2, 3), r)))
     if kind == "open correlation":
         beyond = st.one_of(st.floats(min_value=1.0), st.integers(1))
         return st.one_of(_ALWAYS_BAD, beyond, beyond.map(lambda r: -r))
@@ -397,6 +410,9 @@ def _valid(rule):
         return [_Y, Measurements(2 * _Y.values)]
     if kind == "numeric":
         return [2.5, True, np.int64(-3), [[1, -2], [0, 3]], np.ones(3, np.float32), [1j, 0]]
+    if kind == "masks":
+        return [_C.masks, [[1, -1j]], np.full((1, 2), 1 + UNIT_TOL), np.full((2, 3), -1, np.int64),
+                np.ones((1, 1), np.float32), [[True]], np.exp(1j * np.arange(4.0))[None, :]]
     if kind == "open correlation":
         edge = 1.0 - 2.0**-52
         return [edge, -edge, 0, 0.0, np.float32(0.5), np.int64(0)]

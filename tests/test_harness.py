@@ -728,11 +728,14 @@ def test_parallel_trials_match_serial():
     drivers = [
         (run_phase_transition, dict(experiment="phase_transition")),
         (run_init_accuracy, dict(experiment="init_accuracy")),
+        # the one-size drivers take the sweep's first size, as they once cut it to
         (
             run_noise_sweep,
-            dict(experiment="noise_sweep", noise_kind="poisson", alphas=(0.01, 1.0)),
+            dict(experiment="noise_sweep", m_over_n=(3.0,), noise_kind="poisson",
+                 alphas=(0.01, 1.0)),
         ),
-        (run_convergence_race, dict(experiment="convergence_race", algorithms=("rwf", "irwf"))),
+        (run_convergence_race, dict(experiment="convergence_race", m_over_n=(3.0,),
+                                    algorithms=("rwf", "irwf"))),
     ]
 
     def rows(driver, kwargs, jobs):
@@ -996,6 +999,42 @@ def test_cli_m_not_above_n_exits_1(tmp_path, capsys):
     assert main(["init-accuracy", "--m-over-n", "1", "--out", str(out)]) == 1
     assert not out.exists()
     assert "m_over_n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["converge", "--n", "8", "--m-over-n", "4,8"], "m_over_n"),
+        (["noise-sweep", "--n", "8", "--m-over-n", "4,8"], "m_over_n"),
+        (["recover", "--n", "8", "--m-over-n", "4,8"], "m_over_n"),
+        (["recover", "--n", "8", "--model", "cdp", "--masks", "2,3"], "masks"),
+        (["image-demo", "--masks", "2,3"], "masks"),
+        (["image-demo", "--algo", "rwf,irwf"], "algorithms"),
+    ],
+    ids=["converge", "noise-sweep", "recover", "recover-cdp", "image-demo-masks",
+         "image-demo-algo"],
+)
+def test_cli_one_size_driver_refuses_a_list_and_exits_1(tmp_path, capsys, argv, field):
+    # each of these once ran the first entry alone and wrote its rows
+    out = tmp_path / "never"
+    assert main(argv + ["--out", str(out)]) == 1
+    assert not out.exists()
+    assert "%s must hold one entry for " % field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("experiment", ["convergence_race", "noise_sweep", "recover"])
+def test_one_size_drivers_refuse_only_the_list_they_size_by(experiment):
+    with pytest.raises(ConfigError, match="^m_over_n must hold one entry for %s, not 2$"
+                       % experiment):
+        ExperimentConfig(experiment=experiment, m_over_n=(4.0, 8.0)).validate()
+    with pytest.raises(ConfigError, match="^masks must hold one entry"):
+        ExperimentConfig(experiment=experiment, model="cdp", masks=(2, 3)).validate()
+    # the list the model does not read, and every algorithm list, pass
+    ExperimentConfig(experiment=experiment, masks=(2, 3), algorithms=("rwf", "irwf")).validate()
+    ExperimentConfig(experiment=experiment, model="cdp", m_over_n=(4.0, 8.0)).validate()
+    # the sweeps take a list of sizes
+    for sweep in ("phase_transition", "init_accuracy"):
+        ExperimentConfig(experiment=sweep, m_over_n=(4.0, 8.0), masks=(2, 3)).validate()
 
 
 @pytest.mark.parametrize("flags", [["--m-over-n", "nan"], ["--mu", "nan"]])

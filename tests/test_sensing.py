@@ -16,7 +16,6 @@ from phasekit.sensing import (
     Measurements,
     NoiseSpec,
     from_descriptor,
-    from_rows,
     make_cdp,
     make_gaussian,
     measure,
@@ -106,8 +105,8 @@ def test_row_sqnorms_add_only_the_norm_vector():
 @pytest.mark.parametrize(
     "A",
     [make_gaussian(37, 300, REAL, seed=6), make_gaussian(37, 300, COMPLEX, seed=6),
-     from_rows(np.arange(12.0).reshape(3, 4) - 5), from_rows([[1 + 2j, -3j], [0, 4]])],
-    ids=["real", "complex", "from_rows-real", "from_rows-complex"],
+     GaussianEnsemble(np.arange(12.0).reshape(3, 4) - 5), GaussianEnsemble([[1 + 2j, -3j], [0, 4]])],
+    ids=["real", "complex", "caller-real", "caller-complex"],
 )
 def test_row_sqnorms_are_the_squared_row_norms_once(A):
     # the per-row sum of a_ij conj(a_ij): the same bits on real rows, and the
@@ -137,13 +136,13 @@ def test_ensembles_and_measurements_own_their_arrays():
     rows = np.arange(1.0, 13.0).reshape(3, 4)
     masks = np.exp(1j * np.arange(8.0)).reshape(2, 4)
     v = np.array([1.0, 2.0])
-    G, F, C, M = GaussianEnsemble(rows, 0), from_rows(rows), CDPEnsemble(masks, 0), Measurements(v)
+    G, C, M = GaussianEnsemble(rows), CDPEnsemble(masks), Measurements(v)
     R, D = make_gaussian(4, 12, COMPLEX, seed=1), make_cdp(4, 2, seed=1)
     Y = measure(R, np.ones(4))
     z = np.arange(1.0, 5.0) + 1j
 
     def state():
-        return [G.apply(z), G.row_sqnorms().copy(), F.apply(z), C.apply(z),
+        return [G.apply(z), G.row_sqnorms().copy(), C.apply(z),
                 C.adjoint_apply(C.apply(z)), M.values.copy(), R.apply(z), R.row_sqnorms().copy(),
                 D.adjoint_apply(D.apply(z)), Y.values.copy()]
 
@@ -153,8 +152,7 @@ def test_ensembles_and_measurements_own_their_arrays():
     def negate(a):
         a[...] = -1
 
-    writes = [(scale, lambda: G.rows), (negate, lambda: G.row(0)), (negate, lambda: F.rows),
-              (negate, lambda: C.masks), (negate, lambda: M.values), (scale, lambda: R.rows),
+    writes = [(scale, lambda: G.rows), (negate, lambda: G.row(0)), (negate, lambda: C.masks), (negate, lambda: M.values), (scale, lambda: R.rows),
               (negate, lambda: R.row(1)), (negate, lambda: D.masks), (negate, lambda: Y.values),
               (negate, lambda: rows), (negate, lambda: masks), (negate, lambda: v)]
     for write, target in writes:
@@ -192,7 +190,7 @@ def test_cdp_row_norms_exact():
 
 def test_cdp_all_ones_mask_is_plain_dft():
     n = 8
-    A = CDPEnsemble(np.ones((1, n), dtype=complex), seed=None)
+    A = CDPEnsemble(np.ones((1, n), dtype=complex))
     for k in range(n):
         e = np.zeros(n)
         e[k] = 1.0
@@ -215,6 +213,19 @@ def test_descriptor_round_trip():
     assert np.array_equal(C.masks, D.masks)
     with pytest.raises(ValueError):
         from_descriptor({"kind": "dense", "n": 2, "m": 2, "seed": 0})
+
+
+@pytest.mark.parametrize(
+    "A",
+    [GaussianEnsemble([[1.0, -2.0], [0.5, 3.0]]), GaussianEnsemble([[1j, 2.0], [-1.0, 0.5j]]),
+     CDPEnsemble(np.ones((2, 4)))],
+    ids=["real", "complex", "cdp"],
+)
+def test_descriptor_refuses_a_caller_built_ensemble(A):
+    # a seed belongs to a drawn ensemble: no seed rebuilds the caller's arrays
+    assert A.seed is None
+    with pytest.raises(ValueError, match="^descriptor needs a drawn ensemble"):
+        A.descriptor()
 
 
 # --- apply / adjoint ----------------------------------------------------------
@@ -390,7 +401,7 @@ def test_bounded_noise_halving(rng):
 
 
 def test_bounded_noise_explicit_w():
-    A = from_rows(np.eye(3))
+    A = GaussianEnsemble(np.eye(3))
     x = np.array([1.0, 2.0, 0.5])
     w = np.array([0.25, -0.5, -1.0])
     y = measure(A, x, NoiseSpec("bounded", w=w))
@@ -403,7 +414,7 @@ def test_bounded_noise_explicit_w():
 def test_poisson_second_moment_matches_intensity():
     # one fixed row, |a^T x|^2 = 4; E[y^2] = alpha * E[Poisson(4/alpha)] = 4
     m = 100_000
-    A = from_rows(np.full((m, 1), 2.0))
+    A = GaussianEnsemble(np.full((m, 1), 2.0))
     y = measure(A, np.array([1.0]), NoiseSpec("poisson", alpha=0.5, seed=44))
     assert y.provenance == "poisson"
     assert np.all(y.values >= 0)
@@ -434,16 +445,33 @@ def test_measurements_validation():
     assert Measurements(np.array([0.0, 2.0])).m == 2
 
 
-def test_from_rows_validation():
-    # the public constructor takes the same rule
-    for build in (from_rows, lambda rows: GaussianEnsemble(rows, 0)):
-        for bad in (np.ones((2, 2, 2)), [[np.nan, 1.0]], [[1.0, np.inf]], [[1j * np.nan]],
-                    np.zeros((0, 3)), np.zeros((3, 0)), [], np.array([["a", "b"]])):
-            with pytest.raises(ValueError, match="^rows must be"):
-                build(bad)
-        A = build([1.0, 2.0])  # one row
-        assert (A.m, A.n, A.kind) == (1, 2, REAL)
-        assert build([[1j, 0]]).kind == COMPLEX
+def test_gaussian_ensemble_validation():
+    for bad in (np.ones((2, 2, 2)), [[np.nan, 1.0]], [[1.0, np.inf]], [[1j * np.nan]],
+                np.zeros((0, 3)), np.zeros((3, 0)), [], np.array([["a", "b"]])):
+        with pytest.raises(ValueError, match="^rows must be"):
+            GaussianEnsemble(bad)
+    A = GaussianEnsemble([1.0, 2.0])  # one row
+    assert (A.m, A.n, A.kind) == (1, 2, REAL)
+    assert GaussianEnsemble([[1j, 0]]).kind == COMPLEX
+
+
+def test_cdp_masks_must_keep_the_row_norm_promise():
+    # row_sqnorms() reads exactly n on the promise |d| = 1: a mask of 2s once
+    # passed, and kaczmarz_pr then stepped 4x too far
+    unit, finite, shape = "be unit-modulus", "be free of non-finite", "be a nonempty 2-D"
+    for bad, rule in [(2 * np.ones((1, 4)), unit), (np.full((1, 4), 1 + 1e-9), unit),
+                      (np.zeros((2, 4)), unit), ([[np.nan, 1.0]], finite), ([[1.0, np.inf]], finite),
+                      (np.ones(4), shape), (np.ones((1, 2, 2)), shape), (np.zeros((0, 4)), shape),
+                      (np.array([["a", "b"]]), "be numeric")]:
+        with pytest.raises(ValueError, match="^masks must " + rule):
+            CDPEnsemble(bad)
+    # every drawn mask passes, as do exact real and complex units
+    D = make_cdp(1024, 8, seed=4)
+    C = CDPEnsemble(D.masks)
+    assert np.array_equal(C.masks, D.masks) and C.masks is not D.masks
+    assert (C.L, C.n, C.m) == (8, 1024, 8192)
+    assert np.array_equal(CDPEnsemble([[1, -1j], [-1, 1j]]).row_sqnorms(), np.full(4, 2.0))
+    assert CDPEnsemble(np.ones((1, 3), np.float32)).masks.dtype == np.complex128
 
 
 def test_noise_spec_validation():

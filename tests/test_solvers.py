@@ -26,9 +26,9 @@ from phasekit.core import (
 from phasekit.sensing import (
     CDP,
     Ensemble,
+    GaussianEnsemble,
     Measurements,
     NoiseSpec,
-    from_rows,
     make_cdp,
     make_gaussian,
     measure,
@@ -59,21 +59,21 @@ def _instance(n, m, field, seed, noise=None):
 
 
 def test_rwf_gradient_substitution():
-    A = from_rows([[1.0]])
+    A = GaussianEnsemble([[1.0]])
     y = Measurements(np.array([1.0]))
     g = rwf_gradient(np.array([2.0]), y, A)
     assert np.array_equal(g, np.array([1.0]))
 
 
 def test_rwf_gradient_sign_zero_convention():
-    A = from_rows([[1.0]])
+    A = GaussianEnsemble([[1.0]])
     y = Measurements(np.array([1.0]))
     g = rwf_gradient(np.array([0.0]), y, A)
     assert np.array_equal(g, np.array([0.0]))
 
 
 def test_wf_gradient_substitution():
-    A = from_rows([[1.0]])
+    A = GaussianEnsemble([[1.0]])
     y = Measurements(np.array([1.0]))
     g = wf_gradient(np.array([2.0]), y, A)
     assert np.array_equal(g, np.array([6.0]))
@@ -110,7 +110,7 @@ _STEP_CALLS = {
 @pytest.mark.parametrize("call", list(_STEP_CALLS.values()), ids=list(_STEP_CALLS))
 def test_step_functions_reject_measurement_count_mismatch(call, count):
     # a y longer than m is refused, not read by its first m entries
-    A = from_rows([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    A = GaussianEnsemble([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     y = Measurements(np.ones(count))
     with pytest.raises(ValueError, match="measurement count"):
         call(np.array([0.5, 0.5]), y, A)
@@ -190,7 +190,7 @@ def test_complex_gradient_phase_equivariance():
 
 def test_irwf_step_one_dimensional_projection():
     # a=[2], y=2, z=3, step 1/||a||^2: z' = 3 - 0.25 (6 - 2) 2 = 1
-    A = from_rows([[2.0]])
+    A = GaussianEnsemble([[2.0]])
     y = Measurements(np.array([2.0]))
     z1 = irwf_step(np.array([3.0]), 0, y, A, step=0.25)
     assert np.array_equal(z1, np.array([1.0]))
@@ -225,7 +225,7 @@ def test_irwf_step_fit_sample_complex():
 def test_irwf_step_orthogonal_row_is_noop():
     # a = e_0 and z supported away from coordinate 0: the inner product is
     # exactly zero, ph(0)=0 kills the term
-    A = from_rows(np.eye(4)[:1])
+    A = GaussianEnsemble(np.eye(4)[:1])
     y = Measurements(np.array([2.5]))
     z = np.array([0.0, 1.0, -2.0, 3.0])
     assert np.array_equal(irwf_step(z, 0, y, A, step=0.3), z)
@@ -243,7 +243,7 @@ def test_irwf_step_orthogonal_row_keeps_every_bit(field, zero):
         ([1.0, 0.0, 0.0, 0.0], [zero, 1.0, -2.0, 3.0]),
         ([1.0, 1.0, 0.0, 0.0], [1.0, -1.0, zero, 3.0]),
     ):
-        A = from_rows(np.array([row]) * unit)
+        A = GaussianEnsemble(np.array([row]) * unit)
         z = np.array(z) * unit
         if field == COMPLEX:
             z[z == 0] = complex(zero, zero)
@@ -307,7 +307,7 @@ def test_kaczmarz_step_on_cdp_rows():
 
 
 def test_kaczmarz_zero_row_rejected():
-    A = from_rows([[0.0, 0.0], [1.0, 2.0]])
+    A = GaussianEnsemble([[0.0, 0.0], [1.0, 2.0]])
     y = Measurements(np.array([0.0, 1.0]))
     with pytest.raises(ValueError):
         kaczmarz_step(np.array([1.0, 1.0]), 0, y, A)
@@ -316,7 +316,7 @@ def test_kaczmarz_zero_row_rejected():
 def test_run_kaczmarz_zero_row_rejected():
     # kaczmarz_step's error, raised before the first pass: a zero row has
     # no projection, and its step 1/||a_i||^2 would turn the iterate to NaN
-    A = from_rows([[1.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
+    A = GaussianEnsemble([[1.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
     y = measure(A, np.array([1.0, 2.0]))
     cfg = SolverConfig(algorithm="kaczmarz_pr", max_passes=3)
     with pytest.raises(ValueError, match="zero sensing row 1"):
@@ -391,7 +391,7 @@ def test_block_kaczmarz_singleton_reduces_to_kaczmarz():
 
 
 def test_block_kaczmarz_degenerate_block():
-    A = from_rows([[1.0, 0.0], [1.0, 0.0]])
+    A = GaussianEnsemble([[1.0, 0.0], [1.0, 0.0]])
     y = Measurements(np.array([1.0, 1.0]))
     with pytest.raises(np.linalg.LinAlgError):
         block_kaczmarz_step(np.array([2.0, 1.0]), [0, 1], y, A)
@@ -405,7 +405,7 @@ def test_block_kaczmarz_oversized_block():
 
 @pytest.mark.parametrize("second", [[1.0, 1e-8], [1.0, 1e-8j]])
 def test_block_kaczmarz_nearly_dependent_block(second):
-    A = from_rows([[1.0, 0.0], second])
+    A = GaussianEnsemble([[1.0, 0.0], second])
     y = Measurements(np.array([1.0, 1.0]))
     with pytest.raises(np.linalg.LinAlgError):
         block_kaczmarz_step(np.array([2.0, 1.0], dtype=A.rows.dtype), [0, 1], y, A)
@@ -450,7 +450,7 @@ def test_cdp_full_mask_fast_path_matches_dense_pseudoinverse():
     # factorization path, the CDP ensemble takes the FFT shortcut
     n, L = 16, 2
     A = make_cdp(n, L, seed=46)
-    dense = from_rows(A.block_rows(np.arange(A.m)))
+    dense = GaussianEnsemble(A.block_rows(np.arange(A.m)))
     x = random_signal(n, COMPLEX, substream(461))
     y = measure(A, x)
     z = random_signal(n, COMPLEX, substream(462))
@@ -668,8 +668,7 @@ class _CountingEnsemble(Ensemble):
     an Ensemble itself, since every function that takes one checks."""
 
     def __init__(self, A):
-        super().__init__(A.n, A.m, A.seed)
-        self.kind = A.kind
+        self.n, self.m, self.kind = A.n, A.m, A.kind
         self._A = A
         self.applies = 0
         self.adjoints = 0

@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse.linalg
 
 from phasekit.core import COMPLEX, REAL, dist_up_to_phase, random_signal, relative_error
-from phasekit.sensing import Measurements, from_rows, make_cdp, make_gaussian, measure
+from phasekit.sensing import GaussianEnsemble, Measurements, make_cdp, make_gaussian, measure
 from phasekit.spectral import (
     EmptyTruncationError,
     InitParams,
@@ -23,7 +23,7 @@ TRUNCATED = InitParams(preprocessing="truncated")
 
 def test_estimate_norm_direct_substitution():
     # rows [2], [-2]: l1 sum 4, coefficient mn / 4 = 0.5; y = (6, 6)
-    A = from_rows([[2.0], [-2.0]])
+    A = GaussianEnsemble([[2.0], [-2.0]])
     y = measure(A, np.array([3.0]))
     assert np.array_equal(y.values, np.array([6.0, 6.0]))
     assert estimate_norm(y, A) == pytest.approx(3.0, rel=1e-15)
@@ -48,7 +48,7 @@ def test_estimate_norm_tracks_signal_norm():
 
 
 def test_estimate_norm_zero_rows():
-    A = from_rows(np.zeros((3, 2)))
+    A = GaussianEnsemble(np.zeros((3, 2)))
     y = Measurements(np.ones(3))
     with pytest.raises(ValueError):
         estimate_norm(y, A)
@@ -70,14 +70,14 @@ def test_init_params_validation():
 def test_empty_truncation_raises():
     # all-ones rows make the coefficient exactly 1, so lambda0 = mean(y);
     # constant measurements then sit on the window's lower edge (excluded)
-    A = from_rows(np.ones((4, 8)))
+    A = GaussianEnsemble(np.ones((4, 8)))
     y = Measurements(np.full(4, 5.0))
     with pytest.raises(EmptyTruncationError):
         spectral_initialize(y, A, TRUNCATED, seed=0)
 
 
 def test_small_truncation_set_flagged():
-    A = from_rows(np.ones((4, 8)))
+    A = GaussianEnsemble(np.ones((4, 8)))
     y = Measurements(np.array([1.0, 1.0, 1.0, 9.0]))  # lambda0 = 3, window (3, 15)
     init = spectral_initialize(y, A, TRUNCATED, seed=0)
     assert init.small_truncation_set
@@ -239,7 +239,7 @@ def test_optimal_domain_errors():
     with pytest.raises(ValueError, match="m > n"):
         spectral_initialize(Measurements(np.ones(8)), make_cdp(8, 1, seed=1))
     # all-ones rows give lambda0 = mean(y): constant y weighs every sample 0
-    A = from_rows(np.ones((4, 2)))
+    A = GaussianEnsemble(np.ones((4, 2)))
     with pytest.raises(EmptyTruncationError):
         spectral_initialize(Measurements(np.full(4, 5.0)), A)
     with pytest.raises(EmptyTruncationError):
