@@ -15,10 +15,9 @@ noise spec and a random generator are instances of their class
 (core._instance); a config's list field is a tuple; an elementwise input
 has a numeric dtype.  Each row of the table names one argument or config
 field, the rule it follows, the error it documents, and a call that
-passes a value to it alone.  Outside
-the domain the call must raise that error, naming the argument; at its
-edge it must not raise.  Every callable in phasekit.__all__ has a row or
-a reason in NO_ROW.
+passes a value to it alone.  Outside the domain the call must raise that
+error, naming the argument; at its edge it must not raise.  Every
+callable in phasekit.__all__ has a row or a reason in NO_ROW.
 """
 
 import re
