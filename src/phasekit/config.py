@@ -56,13 +56,10 @@ class ExperimentConfig:
     minibatch_k: int = _option(SolverConfig.minibatch_k, "--k", "minibatch/block size")
     mu: float = _option(SolverConfig.mu, "--mu", "batch step size override")
     rho0: float = _option(SolverConfig.rho0, "--rho0", "incremental step numerator")
-    record_every: int = _option(SolverConfig.record_every, "--record-every",
-                                "trace recording stride")
     noise_kind: str = _option("none", "--noise", "noise model at measurement time", NOISE_KINDS)
-    # bounded noise: ||w||/sqrt(m) = noise_level * ||x||
-    noise_level: float = _option(0.01, "--noise-level", "bounded noise level ||w||/(sqrt(m)||x||)")
+    # Poisson scales, or bounded levels ||w||/(sqrt(m) ||x||)
     alphas: tuple = _option((0.001, 0.01, 0.1, 1.0), "--alphas",
-                            "comma-separated noise levels for sweeps")
+                            "comma-separated noise levels; a run that sweeps none takes the first")
     seed: int = _option(1, "--seed", "master seed")
     output_path: str = _option("", "--out", "output CSV path (or directory)")
     image_path: str = _option("", "--image", "input plain PGM file")
@@ -85,15 +82,16 @@ class ExperimentConfig:
         for name, low in (("n", 1), ("trials", 1), ("iteration_budget", 0), ("seed", 0),
                           ("rho_grid", 2), ("normz_grid", 1), ("jobs", 1)):
             _count(getattr(self, name), name, low, ConfigError)
-        # an empty tuple fails on its stand-in None, here and for alphas
+        # an empty tuple fails on its stand-in None, here, for m_over_n and for alphas
         for L in self.masks or (None,):
             _count(L, "every mask count", 2, ConfigError)
-        if not self.m_over_n or not all(
-            _is_number(r) and math.isfinite(r * self.n) for r in self.m_over_n
-        ):
+        # the swept m of an experiment that reads n (the image demo takes n
+        # from its image; the loss surface measures nothing)
+        reads_n = "n" in EXPERIMENTS[self.experiment][4]
+        if reads_n and not all(_is_number(r) and math.isfinite(r * self.n)
+                               for r in self.m_over_n or (None,)):
             raise ConfigError("every m_over_n must give a finite m")
-        # the swept m; none for the image demo, whose n comes from the image
-        ms = [] if self.experiment == "image_demo" else self.sweep()
+        ms = self.sweep() if reads_n else []
         # the spectral init's optimal preprocessing needs m > n
         if any(m <= self.n for m in ms):
             raise ConfigError("every m_over_n must give m > n")
@@ -110,7 +108,6 @@ class ExperimentConfig:
                 raise ConfigError("%s must hold one entry for %s, not %d"
                                   % (name, self.experiment, count))
         _level(self.success_tol, "success_tol", error=ConfigError)
-        _level(self.noise_level, "noise_level", zero_ok=True, error=ConfigError)
         for a in self.alphas or (None,):
             _level(a, "every alpha", error=ConfigError)
         # the paths are echoed into the CSV metadata, where a line break
@@ -153,7 +150,6 @@ class ExperimentConfig:
             max_passes=self.iteration_budget,
             tol=self.success_tol,
             seed=seed,
-            record_every=self.record_every,
         )
 
 

@@ -59,8 +59,11 @@ def _instance(value, cls, name):
 
 
 def _numeric(x, name):
-    """np.asarray(x); ValueError unless its dtype is bool, int, float or complex."""
-    a = np.asarray(x)
+    """np.asarray(x); ValueError unless x is rectangular, of dtype bool, int, float or complex."""
+    try:
+        a = np.asarray(x)
+    except ValueError as exc:  # numpy's "inhomogeneous shape"
+        raise ValueError("%s must be a rectangular array, not ragged" % name) from exc
     if a.dtype.kind not in "biufc":
         raise ValueError("%s must be numeric, not dtype %s" % (name, a.dtype))
     return a
@@ -68,8 +71,8 @@ def _numeric(x, name):
 
 def as_signal(x, n=None, name="signal", finite=True):
     """x as a 1-D float64 vector (complex128 if x is complex).  ValueError,
-    its message starting with name, for a non-numeric dtype, a shape other
-    than nonempty 1-D, a length other than n, or (if finite) NaN or inf."""
+    its message starting with name, for a ragged or non-numeric x, a shape
+    other than nonempty 1-D, a length other than n, or (if finite) NaN or inf."""
     z = _numeric(x, name)
     if z.ndim != 1 or z.size == 0:
         raise ValueError("%s must be a nonempty 1-D vector" % name)

@@ -44,16 +44,15 @@ def make_instance(model, n, m, seed, labels):
 
 
 def _noise_spec(cfg, x, labels, level=None):
-    """NoiseSpec for this trial; `level` overrides for sweep points."""
-    kind = cfg.noise_kind
-    if kind == "none" or (level is not None and level == 0):
+    """NoiseSpec for this trial at `level`, a sweep point's, else cfg.alphas[0]:
+    the Poisson scale, or the bounded level ||w||/(sqrt(m) ||x||)."""
+    if cfg.noise_kind == "none" or level == 0:
         return None
+    level = float(cfg.alphas[0] if level is None else level)
     seed = derive_seed(cfg.seed, "noise", *labels)
-    if kind == "poisson":
-        alpha = level if level is not None else cfg.alphas[0]
-        return NoiseSpec("poisson", alpha=float(alpha), seed=seed)
-    rel = level if level is not None else cfg.noise_level
-    return NoiseSpec("bounded", level=float(rel) * float(np.linalg.norm(x)), seed=seed)
+    if cfg.noise_kind == "poisson":
+        return NoiseSpec("poisson", alpha=level, seed=seed)
+    return NoiseSpec("bounded", level=level * float(np.linalg.norm(x)), seed=seed)
 
 
 def _trial(cfg, x, A, labels, algorithms, level=None):
@@ -355,9 +354,8 @@ def run_loss_surface(cfg):
 # exactly those fields' flags.  Every experiment reads output_path; the CSV
 # echo reads every field and does not count.
 _INSTANCE = frozenset({"n", "m_over_n", "masks", "model", "trials", "seed"})
-_SOLVER = frozenset({"algorithms", "success_tol", "iteration_budget", "minibatch_k", "mu",
-                     "rho0", "record_every"})
-_NOISE = frozenset({"noise_kind", "noise_level", "alphas"})
+_SOLVER = frozenset({"algorithms", "success_tol", "iteration_budget", "minibatch_k", "mu", "rho0"})
+_NOISE = frozenset({"noise_kind", "alphas"})
 _JOBS = frozenset({"jobs"})
 _OUT = frozenset({"output_path"})
 
@@ -372,10 +370,9 @@ EXPERIMENTS = {
     "init_accuracy": ("init-accuracy", run_init_accuracy, "init_accuracy.csv",
                       "spectral initialization error vs sample size",
                       _INSTANCE | _NOISE | _JOBS | _OUT),
-    # the levels are the alphas, bounded noise's included
     "noise_sweep": ("noise-sweep", run_noise_sweep, "noise_sweep.csv",
                     "final error vs noise level",
-                    _INSTANCE | _SOLVER | (_NOISE - {"noise_level"}) | _JOBS | _OUT),
+                    _INSTANCE | _SOLVER | _NOISE | _JOBS | _OUT),
     "recover": ("recover", run_recover, "recover_trace.csv",
                 "single recovery runs with full per-pass traces",
                 _INSTANCE | _SOLVER | _NOISE | _OUT),

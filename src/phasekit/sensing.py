@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import COMPLEX, REAL, _count, _instance, _level, as_signal
+from .core import COMPLEX, REAL, _count, _instance, _level, _numeric, as_signal
 from .streams import substream
 
 CDP = "cdp"
@@ -213,12 +213,12 @@ class GaussianEnsemble(Ensemble):
 
     rows is one row (1-D) or a stack of them (2-D) with finite entries;
     ValueError for any other shape, for no rows or no columns, and, by
-    core.as_signal's rule, for a non-numeric dtype or a NaN or infinite
-    entry.  The ensemble keeps a read-only float64 (complex128) copy.
+    core.as_signal's rule, for a ragged or non-numeric array or a NaN or
+    infinite entry.  The ensemble keeps a read-only float64 (complex128) copy.
     """
 
     def __init__(self, rows):
-        rows = np.atleast_2d(rows)
+        rows = np.atleast_2d(_numeric(rows, "rows"))
         if rows.ndim != 2 or rows.size == 0:
             raise ValueError("rows must be a nonempty 1-D or 2-D array")
         self._own(as_signal(rows.ravel(), name="rows").reshape(rows.shape).copy())
@@ -267,14 +267,14 @@ class CDPEnsemble(Ensemble):
     masks is an L x n stack of finite, unit-modulus entries (| |d| - 1 | <=
     UNIT_TOL), on which row_sqnorms' exact n rests; ValueError for any
     other shape, for no masks or no entries, and, by core.as_signal's
-    rule, for a non-numeric dtype or a NaN or infinite entry.  The
-    ensemble keeps a read-only complex128 copy.
+    rule, for a ragged or non-numeric array or a NaN or infinite entry.
+    The ensemble keeps a read-only complex128 copy.
     """
 
     kind = CDP
 
     def __init__(self, masks):
-        masks = np.asarray(masks)
+        masks = _numeric(masks, "masks")
         if masks.ndim != 2 or masks.size == 0:
             raise ValueError("masks must be a nonempty 2-D array")
         d = as_signal(masks.ravel(), name="masks")

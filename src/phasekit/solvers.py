@@ -13,9 +13,9 @@ real field); the zero convention keeps the nonsmooth point harmless.
 
 Pass accounting: one pass = one batch iteration = m single-sample updates
 = ceil(m/k) minibatch updates, so per-pass costs are comparable across
-algorithms.  A recorded rwf or wf pass costs one forward and one adjoint
-product: the A z that monitoring computes is the one the next gradient
-uses.
+algorithms.  run() records every pass, so an rwf or wf pass costs one
+forward and one adjoint product: the A z that monitoring computes is the
+one the next gradient uses.
 
 Each algorithm is declared once, as a row of _PASSES that ALGORITHMS,
 SolverConfig.validate and run() read.  Each update formula lives in one
@@ -63,16 +63,16 @@ BLOCK_CONDITION_LIMIT = 1e12
 
 @dataclass
 class SolverConfig:
-    """Algorithm selection plus step, budget, and recording knobs.
+    """Algorithm selection plus step and budget knobs.
 
     mu is the batch step; None resolves to 0.8 (real) / 1.2 (complex and
     coded-diffraction) for rwf, and to 0.2 for the wf baseline, where it is
     applied as mu/||z0||^2 (an experimental constant-step stand-in for the
     usual ramped schedule).  Incremental algorithms ignore mu and step by
     rho0/n per sample; Kaczmarz variants ignore both.  validate() raises
-    ValueError unless the counts are integers (minibatch_k and record_every
-    >= 1, max_passes and seed >= 0), the levels (mu, rho0, tol) are positive
-    and finite, and minibatch_k is at most m (minibatch_irwf) or min(m, n)
+    ValueError unless the counts are integers (minibatch_k >= 1,
+    max_passes and seed >= 0), the levels (mu, rho0, tol) are positive and
+    finite, and minibatch_k is at most m (minibatch_irwf) or min(m, n)
     (block_kaczmarz_pr).
     """
 
@@ -83,7 +83,6 @@ class SolverConfig:
     max_passes: int = 1000
     tol: float = 1e-5
     seed: int = 0
-    record_every: int = 1
 
     def validate(self, m=None, n=None):
         if self.algorithm not in ALGORITHMS:
@@ -92,7 +91,7 @@ class SolverConfig:
             _level(self.mu, "mu")
         _level(self.rho0, "rho0")
         _level(self.tol, "tol")
-        for name, low in (("minibatch_k", 1), ("max_passes", 0), ("record_every", 1), ("seed", 0)):
+        for name, low in (("minibatch_k", 1), ("max_passes", 0), ("seed", 0)):
             _count(getattr(self, name), name, low)
         for size, message in zip((m, n), _PASSES[self.algorithm][2]):
             if size is not None and self.minibatch_k > size:
@@ -101,7 +100,8 @@ class SolverConfig:
 
 @dataclass
 class RunTrace:
-    """Final iterate plus the recorded (pass, relative_error, loss) history.
+    """Final iterate plus the (pass, relative_error, loss) history of passes
+    0..passes_used, less a last pass whose gauge was non-finite.
 
     relative_error is NaN when no ground truth was supplied (stopping then
     gauges on the loss).  stop_reason is 'tol', 'budget', or 'diverged'.
@@ -119,7 +119,7 @@ class RunTrace:
         return self.history[-1][2] if self.history else float("nan")
 
     def passes_to(self, tol):
-        """First recorded pass count with relative error <= tol, else None."""
+        """First pass count with relative error <= tol, else None."""
         return next((p for p, err, _ in self.history if err <= tol), None)
 
 
@@ -281,8 +281,8 @@ def block_kaczmarz_step(z, gamma, y, A):
 
 
 def _gradient_step(z, fz, y, A, mu, residual):
-    """z -= (mu/m) A^*(residual(A z, y)), the batch step; fz is A z if known, else None."""
-    g = A.adjoint_apply(residual(A.apply(z) if fz is None else fz, y))
+    """z -= (mu/m) A^*(residual(fz, y)) at fz = A z, the batch step."""
+    g = A.adjoint_apply(residual(fz, y))
     g *= mu / A.m  # scaled in place: the roundings of z - (mu/m) g, no temporary
     z -= g
     return z
@@ -328,7 +328,8 @@ def _block_kaczmarz_pass(cfg, A, y, z0):
 
 # algorithm: (build, the name of its monitor's loss, the messages of the sizes
 # minibatch_k may not exceed, m then n).  build(cfg, A, y, z0) runs once per
-# run and gives (update, count): a pass is count calls z = update(z, fz).
+# run and gives (update, count): a pass is count calls z = update(z, fz), where
+# fz is A z as the last pass's monitor computed it (a batch pass has count 1).
 _K_OVER = "minibatch_k exceeds measurement count", "block size exceeds n (row-independence regime)"
 _PASSES = {
     "rwf": (_rwf_pass, "amplitude_loss", ()),
@@ -342,9 +343,9 @@ ALGORITHMS = tuple(_PASSES)
 
 
 def run(y, A, z0, cfg, x_opt=None):
-    """Drive cfg.algorithm from z0, recording every record_every passes.
+    """Drive cfg.algorithm from z0, recording every pass.
 
-    Stops on the first recorded point with gauge <= cfg.tol (gauge =
+    Stops at the first pass with gauge <= cfg.tol (gauge =
     relative error when x_opt is given, loss otherwise), when the pass
     budget runs out, or when the gauge goes non-finite / exceeds 1e6 times
     its initial value (stop_reason 'diverged').  Index draws come from the
@@ -377,16 +378,13 @@ def run(y, A, z0, cfg, x_opt=None):
     for p in range(1, cfg.max_passes + 1):
         for _ in range(count):
             z = update(z, fz)
-            fz = None
-
-        if p % cfg.record_every == 0 or p == cfg.max_passes:
-            fz, rel, loss, gauge = observe(z)
-            if not math.isfinite(gauge):
-                # keep history finite; the blown-up point is not recorded
-                return RunTrace(z, history, p, "diverged")
-            history.append((p, rel, loss))
-            if gauge > guard:
-                return RunTrace(z, history, p, "diverged")
-            if gauge <= cfg.tol:
-                return RunTrace(z, history, p, "tol")
+        fz, rel, loss, gauge = observe(z)
+        if not math.isfinite(gauge):
+            # keep history finite; the blown-up point is not recorded
+            return RunTrace(z, history, p, "diverged")
+        history.append((p, rel, loss))
+        if gauge > guard:
+            return RunTrace(z, history, p, "diverged")
+        if gauge <= cfg.tol:
+            return RunTrace(z, history, p, "tol")
     return RunTrace(z, history, cfg.max_passes, "budget")

@@ -13,11 +13,12 @@ is Measurements of the ensemble's m; a stack of CDP masks is a nonempty
 sensing.UNIT_TOL; an ensemble, a state, a solver config, init params, a
 noise spec and a random generator are instances of their class
 (core._instance); a config's list field is a tuple; an elementwise input
-has a numeric dtype.  Each row of the table names one argument or config
-field, the rule it follows, the error it documents, and a call that
-passes a value to it alone.  Outside the domain the call must raise that
-error, naming the argument; at its edge it must not raise.  Every
-callable in phasekit.__all__ has a row or a reason in NO_ROW.
+has a numeric dtype; and no array is a ragged nesting (core._numeric).
+Each row of the table names one argument or config field, the rule it
+follows, the error it documents, and a call that passes a value to it
+alone.  Outside the domain the call must raise that error, naming the
+argument; at its edge it must not raise.  Every callable in
+phasekit.__all__ has a row or a reason in NO_ROW.
 """
 
 import re
@@ -138,6 +139,12 @@ _NUMERIC = ("numeric", None, None)
 _MASKS = ("masks", None, None)
 
 
+def _ragged(*valid):
+    """A rectangular nesting (core._numeric): a ragged one is refused under
+    the argument's name, not numpy's; the valid values are the edge cases."""
+    return ("ragged", valid, None)
+
+
 # (row id, rule, documented error, name in the message, call with the value)
 DOMAIN = [
     ("random_signal.n", _counts(1), ValueError, "n", lambda v: random_signal(v, REAL, substream(0))),
@@ -164,8 +171,6 @@ DOMAIN = [
      lambda v: _solver(minibatch_k=v)),
     ("SolverConfig.max_passes", _counts(0), ValueError, "max_passes",
      lambda v: _solver(max_passes=v)),
-    ("SolverConfig.record_every", _counts(1), ValueError, "record_every",
-     lambda v: _solver(record_every=v)),
     ("SolverConfig.seed", _counts(0), ValueError, "seed", lambda v: _solver(seed=v)),
     ("SolverConfig.mu", _levels(), ValueError, "mu", lambda v: _solver(mu=v)),
     ("SolverConfig.rho0", _levels(), ValueError, "rho0", lambda v: _solver(rho0=v)),
@@ -185,12 +190,8 @@ DOMAIN = [
      lambda v: _experiment(masks=(v,))),
     ("ExperimentConfig.minibatch_k", _counts(1), ConfigError, "minibatch_k",
      lambda v: _experiment(minibatch_k=v)),
-    ("ExperimentConfig.record_every", _counts(1), ConfigError, "record_every",
-     lambda v: _experiment(record_every=v)),
     ("ExperimentConfig.success_tol", _levels(), ConfigError, "success_tol",
      lambda v: _experiment(success_tol=v)),
-    ("ExperimentConfig.noise_level", _levels(zero_ok=True), ConfigError, "noise_level",
-     lambda v: _experiment(noise_level=v)),
     ("ExperimentConfig.alphas", _levels(), ConfigError, "alpha",
      lambda v: _experiment(alphas=(v,))),
     # the default experiment, recover, runs one size: a sweep takes the list
@@ -311,6 +312,13 @@ DOMAIN = [
     ("phase.v", _NUMERIC, ValueError, "v", lambda v: phase(v)),
     ("GaussianEnsemble.rows", _NUMERIC, ValueError, "rows", lambda v: GaussianEnsemble(v)),
     ("CDPEnsemble.masks", _MASKS, ValueError, "masks", lambda v: CDPEnsemble(v)),
+    ("GaussianEnsemble.rows.ragged", _ragged([[1.0], [2.0]], [1.0, 2.0]), ValueError, "rows",
+     lambda v: GaussianEnsemble(v)),
+    ("CDPEnsemble.masks.ragged", _ragged([[1.0], [-1.0]], [[1j, 1.0]]), ValueError, "masks",
+     lambda v: CDPEnsemble(v)),
+    ("run.z0.ragged", _ragged([1.0, 2.0, 3.0, 4.0]), ValueError, "z0",
+     lambda v: run(_Y, _A, v, _ONE_PASS)),
+    ("phase.v.ragged", _ragged([[1.0], [2.0]], [1j, 0]), ValueError, "v", lambda v: phase(v)),
     ("load_config.overrides", _counts(1), ConfigError, "n",
      lambda v: load_config(None, overrides={"n": v})),
 ]
@@ -369,6 +377,10 @@ def _invalid(rule):
                [[1j, complex(NAN, 0)]], np.ones(4), np.ones((1, 2, 2)), np.ones((0, 4)), [[]]]
         return st.one_of(_ALWAYS_BAD, _NOT_NUMERIC, st.just(None), st.sampled_from(bad),
                          off.map(lambda r: np.full((2, 3), r)))
+    if kind == "ragged":
+        # nestings numpy refuses with its "inhomogeneous shape" ValueError
+        return st.sampled_from([[1.0, [2.0]], [[1.0], [1.0, 2.0]], [[1.0, -1.0], [1.0]],
+                                [[[1.0]], [1.0]], [[1.0], 2.0, 3.0, 4.0]])
     if kind == "open correlation":
         beyond = st.one_of(st.floats(min_value=1.0), st.integers(1))
         return st.one_of(_ALWAYS_BAD, beyond, beyond.map(lambda r: -r))
@@ -403,7 +415,7 @@ def _valid(rule):
         if not finite:  # NaN in, NaN out
             ok += [np.where(ramp == 1, NAN, ramp), np.where(ramp == 2, -INF, ramp)]
         return ok
-    if kind in ("object", "tuple"):
+    if kind in ("object", "tuple", "ragged"):
         return list(bound)
     if kind == "measurements":
         return [_Y, Measurements(2 * _Y.values)]

@@ -88,41 +88,41 @@ IMAGE_DEMO = dict(
     output_path="demo",
 )
 # the demo measures the image as a complex signal; bounded noise scales by its norm
-IMAGE_DEMO_BOUNDED = dict(IMAGE_DEMO, noise_kind="bounded", noise_level=0.001)
+IMAGE_DEMO_BOUNDED = dict(IMAGE_DEMO, noise_kind="bounded", alphas=(0.001,))
 
 GOLDEN = {
-    "phase_transition": "b053e80c4d9ed267252c0a3170989d72f1b68cacb1eea66c3b242cf635e95d46",
-    "convergence_race": "be8856b16e4338523e94bb3f53eb1fe6333ea99a5c5c003e4c2591a97d43bfef",
-    "init_accuracy": "72f5570b1613e960781445061d4dc4e9abec93630364bf0f3072ea3fcedb5e51",
-    "noise_sweep": "f13918aaf8f885d39272e12030df944155c1b121ab1a81021b311dbc9d0f9da2",
-    "recover": "ecc4485b284e0415153af2afd4abde949bf4811297ec69cfee761cea90b6fd64",
-    "loss_surface": "de0ae8fed74871278a85edfc61836ca2720db69bce58e1f27d4bc3bab9c6eea1",
-    "image_demo": "1710ae5b26a29405fdd97347effd0d01b1a9dc5e027f0130b8311831370cbe1e",
-    "noise_sweep_bounded": "6d6f60e0ecbcf5780dc014de1f98d56163535ee401bc9ce76c06866c3e6ee549",
-    "image_demo_all_zero": "64069a71444090d54f4914cdff72754f56ddea4bff6a50f5d15adaaf983039ea",
-    "image_demo_bounded": "8e98d709311fbdc1735bb41ff25cf95d476367f9a8082e2482efb79a98ac3d6b",
+    "phase_transition": "5041693f987e7844535dce1fc22329a4dcdb327dbf48176a025d62af8b3b2c12",
+    "convergence_race": "547db4d2777fa5ff53cd83d30732c23d06e81e831d724b30060564f8ee1dd97d",
+    "init_accuracy": "a708ad411fa02adf7041f251b1d71065ec8e2e4572a3c22d331d1e76ebc8065d",
+    "noise_sweep": "ff73988d4b67ce4ed3d564e04c514f9d1c790486792ba0247cb787ab6316d3e6",
+    "recover": "d4f17fc948e06e03cca6ba8fad231b3f5ae113b787dda640d1c0e485ee1702bf",
+    "loss_surface": "37b9bb0f7257662d98f4ec3382ca26009a4047291c9aebb5699a6b273f3ff2a0",
+    "image_demo": "b92eb623b92ed4e2a5ed246e25b1a7ccd42d1b1dcc731122c6d560adc94d9969",
+    "noise_sweep_bounded": "1628f73dd56b1097a0b57d194bdf5e873abc1ffdf15977419e4c7b558deb9e0e",
+    "image_demo_all_zero": "6b4f0e44cb5d2edb67d275b1b519186b671e5ef88f77cf48e4b74f690f71cd60",
+    "image_demo_bounded": "b98f47c02843a3e407a94651dfa49e958eee81d4e96c028fa509dbf72e7e660d",
 }
 
 SOLVER_GOLDEN = {
-    "cdp/block_kaczmarz_pr": "fa9172dac07e1890fa1daec1e7f318f054cdd4f9bd5bc119729dd289998ab2d4",
-    "cdp/block_kaczmarz_pr_whole_mask": "9b3d0abe79576388a4880f0d35a966af03f5796eeba101fb97927b39de61094f",
-    "cdp/irwf": "ef34b5561d8da05e6a56fbaea9dfa12d05232da1f00b12df9bcd7bf2b6a070a0",
-    "cdp/kaczmarz_pr": "788ae55bc35f78cb9de778434249af158d2434ac77a1f1eb5f559339df245b91",
-    "cdp/minibatch_irwf": "6897ba0f21c16960e4b224a62ec6cebbe35b479bb268bf3ff663ea5f88a2bb5a",
-    "cdp/rwf": "e1e58b41941a77144f7b5c49ed4dae12978d95fff527781769cdf88fefe389b9",
-    "cdp/wf": "65ddd2d8b9bfd244b19df1fb5239a6cac5dc028db31fd7cd0ee39559881a4606",
-    "complex/block_kaczmarz_pr": "bce09f1d26f5471169b8d7381ec0a2f63efa969fdb33e871af4ac71e6b02b923",
-    "complex/irwf": "0443aa6c41c167d1ef6469527e3692cea005bbc10ab9edd064134ba586a19ae0",
-    "complex/kaczmarz_pr": "9f71b8e3b040d0c9d3831f883a05497afacc9cbd0aff761e9aa18011f74c1d39",
-    "complex/minibatch_irwf": "b664093b464013ce42974be08f265ca6a39f76ce4e994d9d0f405c99ec486687",
-    "complex/rwf": "159c58a052de3930785d0425e1adfffb789326f7d08eb0c9bae1c8a1fa83d65d",
-    "complex/wf": "2c0f1741ff7c347bc92004cb4133443f8ea88ee3f09eb0a8c811c12169911908",
-    "real/block_kaczmarz_pr": "7b8cb3067e3edc32abe5d10e2537afa2679661b1327ad19daa991ff70b6fc54e",
-    "real/irwf": "8d3b6106b03b0ae4757147db8f7e3c3ac196e500a7434d3277cb2fb48066c2a8",
-    "real/kaczmarz_pr": "71ab79c621fdc0264ca6eaae4f461e6965235cb6c8733a090fe90719bc8d4e64",
-    "real/minibatch_irwf": "958ac379d7c1b2b9e3076fa506e212308003c45b055ba6ef8b820cc5bba7d03e",
-    "real/rwf": "c2249730b2b5206af4f901ac75ca216252bd07d3c4402d5dd021b41558e52426",
-    "real/wf": "3072de318aa46c90eaaa25fa93038fa8938e5cebbcfd56062922fd7bdf843bbb",
+    "cdp/block_kaczmarz_pr": "83163cbd519e8a8038c117ef1b385947165f3abf35c51406d66be040067cdc72",
+    "cdp/block_kaczmarz_pr_whole_mask": "38082d73a37445a1a2d53c3bbd6d86f297658497cd906a67de8f6b76fb6f8947",
+    "cdp/irwf": "5ba6c306f663cce8b08e08dbdd7a887ca13a1a8ff5459a7a778a9933e9ec2505",
+    "cdp/kaczmarz_pr": "020939b9c2b1033d239f1ef121ae32cbb71c0896c66b62cdb542fee67969e478",
+    "cdp/minibatch_irwf": "65da4c625f51c55d7cf0026bf4a34bd002a41034ee5e9b89af743a40101fc980",
+    "cdp/rwf": "4fdcdd5a30b9060b24ad6e157c51e8f66128fbce4eebd0afa85c7f1e5cb61eb1",
+    "cdp/wf": "c9a29299ad71a46d608162ac6762e721cb0e4e62c546d477e47b401485f1f925",
+    "complex/block_kaczmarz_pr": "2a34be6e5a1ce5899a5fbd3d9c7af91555db139920c2217b2e901c2dad0428a2",
+    "complex/irwf": "1f76cdf398c6eb7931da86d519494cfa3ae098b69134649409020896d8e547b7",
+    "complex/kaczmarz_pr": "7e5cf171949ba557768fd3ee34903e003108da0893ca615b51b5cca09689bd6e",
+    "complex/minibatch_irwf": "5f5b7bb3eac52d65c1658b62a4e8a021ff87f846cc19487ba9e6d8009f6b64e5",
+    "complex/rwf": "c349e108064c8e81774085d544c65905bac4206501407d3de912bd6e0d14af00",
+    "complex/wf": "12c4eafbbba49da338923c97930d977af0e08153dae96baf405312e94bce8c28",
+    "real/block_kaczmarz_pr": "eba2e750855be90e7e5ba4338fbcc2a55006e75a5398ffa375a14fdd4ba37db6",
+    "real/irwf": "b9882455312c05eb6ef93c5bbe6942064cf54dd36f15af18781b802bb801d8ef",
+    "real/kaczmarz_pr": "f138de937fc3c8d01c52347e5ba48a65fdfefa144aec7a4c728338ac2decc655",
+    "real/minibatch_irwf": "b1b3133c92d524ce3d85c66d0144f2e098c2099d2d2b8f26af613ded61a5ca18",
+    "real/rwf": "29c2198578482436fe40bef67dc089984f7182676cf0d876566507adbbf3ad79",
+    "real/wf": "945a29bc89b69220919ab626bc82f718b033f895bdab2483b6891104f76653b7",
 }
 
 

@@ -132,6 +132,15 @@ def test_load_config_unknown_override():
         load_config(None, overrides={"bogus": 1})
 
 
+@pytest.mark.parametrize("key", ["record_every", "noise_level"])
+def test_load_config_refuses_a_removed_key(tmp_path, key):
+    # run() records every pass, and a run's noise level is alphas[0]
+    path = tmp_path / "old.cfg"
+    path.write_text("%s = 1\n" % key)
+    with pytest.raises(ConfigError, match="^unknown config key %r$" % key):
+        load_config(str(path))
+
+
 @pytest.mark.parametrize("path", sorted(Path(__file__).resolve().parents[1].glob("configs/*.cfg")),
                          ids=lambda p: p.name)
 def test_canned_configs_load(path):
@@ -141,13 +150,13 @@ def test_canned_configs_load(path):
 
 def test_sweep_and_solver_config():
     cfg = ExperimentConfig(n=10, m_over_n=(2.0, 2.46), masks=(3, 4), iteration_budget=7,
-                           success_tol=1e-3, mu=0.5, rho0=2.0, minibatch_k=5, record_every=3)
+                           success_tol=1e-3, mu=0.5, rho0=2.0, minibatch_k=5)
     assert cfg.sweep() == [20, 25]
     cfg.model = "cdp"
     assert cfg.sweep() == [30, 40]
     solver = cfg.solver_config("irwf", seed=9)
     assert (solver.algorithm, solver.mu, solver.rho0, solver.minibatch_k) == ("irwf", 0.5, 2.0, 5)
-    assert (solver.max_passes, solver.tol, solver.seed, solver.record_every) == (7, 1e-3, 9, 3)
+    assert (solver.max_passes, solver.tol, solver.seed) == (7, 1e-3, 9)
 
 
 def test_solver_defaults_come_from_solver_config():
@@ -184,17 +193,17 @@ def test_validate_names_an_unknown_choice(kwargs, message):
         {"minibatch_k": 0},
         {"mu": -0.5},
         {"rho0": 0.0},
-        {"record_every": 0},
+        {"alphas": (-0.1,)},
         {"noise_kind": "cauchy"},
-        {"noise_level": -0.1},
+        {"alphas": (0.01, -0.1)},
         {"alphas": (0.0,)},
         {"seed": -1},
         {"rho_grid": 1},
         {"normz_grid": 0},
         {"jobs": 0},
         {"n": 10, "algorithms": ("block_kaczmarz_pr",), "minibatch_k": 64},
-        {"noise_level": float("nan")},
-        {"noise_level": float("inf")},
+        {"alphas": (float("-inf"),)},
+        {"experiment": "phase_transition", "m_over_n": (2.0, 1.0)},
         {"alphas": (float("nan"),)},
         {"alphas": (1.0, float("inf"))},
         {"m_over_n": (float("nan"),)},
@@ -220,11 +229,11 @@ def test_validate_names_an_unknown_choice(kwargs, message):
         {"masks": (5.5,)},
         {"masks": (6, 2.0)},
         {"minibatch_k": 1.5},
-        {"record_every": 1.5},
+        {"jobs": True},
         {"success_tol": "1"},
         {"mu": "1"},
         {"rho0": None},
-        {"noise_level": None},
+        {"alphas": None},
         {"alphas": ("a",)},
         {"m_over_n": ("a",)},
         {"n": True, "m_over_n": (3.0,)},
@@ -240,14 +249,23 @@ def test_validate_rejects(kwargs):
 def test_validate_accepts_numpy_integers():
     i = np.int64
     ExperimentConfig(n=i(16), trials=i(2), iteration_budget=i(5), seed=i(3), rho_grid=i(5),
-                     normz_grid=i(2), jobs=i(1), masks=(i(4),), minibatch_k=i(8),
-                     record_every=i(2)).validate()
+                     normz_grid=i(2), jobs=i(1), masks=(i(4),), minibatch_k=i(8)).validate()
 
 
 def test_experiment_table_drives_cli_and_validation():
     for experiment, (command, _, _, _, _) in EXPERIMENTS.items():
         assert build_parser().parse_args([command]).experiment == experiment
         ExperimentConfig(experiment=experiment).validate()
+
+
+def test_loss_surface_ignores_the_sizes_it_never_reads(tmp_path):
+    # the surface measures nothing, so no m_over_n gives it m <= n
+    ExperimentConfig(experiment="loss_surface", m_over_n=(1.0,)).validate()
+    cfgfile = tmp_path / "f.cfg"
+    cfgfile.write_text("m_over_n = 1\nrho_grid = 3\nnormz_grid = 2\n")
+    out = tmp_path / "ls.csv"
+    assert main(["loss-surface", "--config", str(cfgfile), "--out", str(out)]) == 0
+    assert len(read_csv(str(out))[2]) == 6
 
 
 def test_image_demo_ignores_m_over_n():
@@ -588,21 +606,19 @@ def test_recover_trace_schema():
         algorithms=("rwf", "wf"),
         trials=2,
         iteration_budget=20,
-        record_every=5,
         success_tol=1e-13,
         seed=11,
     ).validate()
     table = run_recover(cfg)
-    seen = set()
+    blocks = {}
     for r in table.rows:
-        seen.add((r["trial_id"], r["algorithm"]))
-        assert r["pass_count"] in (0, 5, 10, 15, 20)
+        blocks.setdefault((r["trial_id"], r["algorithm"]), []).append(r["pass_count"])
         assert np.isfinite(r["relative_error"])
         assert np.isfinite(r["loss"]) and r["loss"] >= 0
-    assert seen == {(t, a) for t in (0, 1) for a in ("rwf", "wf")}
-    # each block starts at pass 0 with increasing pass counts
-    starts = [r for r in table.rows if r["pass_count"] == 0]
-    assert len(starts) == 4
+    assert set(blocks) == {(t, a) for t in (0, 1) for a in ("rwf", "wf")}
+    # each block holds every pass from 0, within the budget
+    for passes in blocks.values():
+        assert passes == list(range(len(passes))) and len(passes) <= 21
 
 
 def test_image_demo_all_zero(tmp_path):
@@ -916,7 +932,7 @@ def test_cli_recover_roundtrip(tmp_path, capsys):
     out = tmp_path / "trace.csv"
     cfgfile.write_text(
         "experiment = recover\nn = 10\nm_over_n = 5\nalgorithms = rwf\n"
-        "trials = 1\niteration_budget = 10\nrecord_every = 5\nseed = 4\n"
+        "trials = 1\niteration_budget = 10\nsuccess_tol = 1e-300\nseed = 4\n"
     )
     code = main(["recover", "--config", str(cfgfile), "--out", str(out)])
     assert code == 0
@@ -924,7 +940,7 @@ def test_cli_recover_roundtrip(tmp_path, capsys):
     assert "wrote" in capsys.readouterr().out
     meta, _, rows = read_csv(str(out))
     assert meta["experiment"] == "recover"
-    assert len(rows) == 3  # passes 0, 5, 10
+    assert [r["pass_count"] for r in rows] == [str(p) for p in range(11)]  # every pass
 
 
 def test_cli_flag_overrides_config(tmp_path):
@@ -1061,12 +1077,28 @@ def test_cli_unknown_flag_exits_1(tmp_path, capsys):
     assert main(["recover", "--frobnicate", "3"]) == 1
     # a flag of a field the experiment does not read is unknown to its command
     for argv in (["recover", "--jobs", "2"], ["loss-surface", "--seed", "3"],
-                 ["noise-sweep", "--noise-level", "0.1"], ["image-demo", "--n", "16"],
+                 ["noise-sweep", "--rho-grid", "3"], ["image-demo", "--n", "16"],
                  ["init-accuracy", "--algo", "irwf"]):
         out = tmp_path / "x.csv"
         assert main(argv + ["--out", str(out)]) == 1, argv
         assert not out.exists()
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    [command, flag, "1"]
+    for flag, commands in (
+        ("--record-every", ("phase-transition", "converge", "noise-sweep", "recover", "image-demo")),
+        ("--noise-level", ("phase-transition", "converge", "init-accuracy", "recover", "image-demo")),
+    )
+    for command in commands
+], ids=lambda argv: argv[0] + argv[1])
+def test_cli_removed_flag_exits_1(tmp_path, capsys, argv):
+    # no command takes a recording stride or a bounded level besides --alphas
+    out = tmp_path / "x"
+    assert main(argv + ["--out", str(out)]) == 1
+    assert not out.exists()
+    assert "unrecognized arguments: %s 1" % argv[1] in capsys.readouterr().err
 
 
 def test_cli_no_command_exits_1(capsys):

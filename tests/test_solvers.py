@@ -539,12 +539,21 @@ def test_run_history_increasing_and_finite():
         assert all(np.isfinite(e) and np.isfinite(l) for _, e, l in tr.history)
 
 
-def test_run_record_every_subsampling():
-    A, x, y = _instance(8, 32, REAL, seed=53)
-    z0 = random_signal(8, REAL, substream(531))
-    cfg = SolverConfig(algorithm="rwf", max_passes=20, tol=1e-15, record_every=7)
+@pytest.mark.parametrize(
+    "alg, mu, passes, tol, reason",
+    [("rwf", None, 20, 1e-300, "budget"), ("rwf", None, 500, 1e-8, "tol"),
+     ("irwf", None, 20, 1e-300, "budget"), ("block_kaczmarz_pr", None, 20, 1e-300, "budget"),
+     ("rwf", 50.0, 400, 1e-15, "diverged")],
+    ids=["budget", "tol", "irwf", "block", "diverged"],
+)
+def test_run_records_every_pass(alg, mu, passes, tol, reason):
+    # one history entry for each pass 0..passes_used, whatever stopped the run
+    A, x, y = _instance(8, 48, REAL, seed=53)
+    z0 = x + 0.1 * random_signal(8, REAL, substream(531))
+    cfg = SolverConfig(algorithm=alg, mu=mu, minibatch_k=4, max_passes=passes, tol=tol)
     tr = run(y, A, z0, cfg, x_opt=x)
-    assert [p for p, _, _ in tr.history] == [0, 7, 14, 20]
+    assert tr.stop_reason == reason
+    assert [p for p, _, _ in tr.history] == list(range(tr.passes_used + 1))
 
 
 def test_run_divergence_guard():
@@ -583,18 +592,16 @@ def test_run_validation_errors():
         run(y, A, x, SolverConfig(tol=0.0))
     with pytest.raises(ValueError):
         run(y, A, x, SolverConfig(max_passes=-1))
-    with pytest.raises(ValueError):
-        run(y, A, x, SolverConfig(record_every=0))
-    for bad in ({"minibatch_k": 1.5}, {"max_passes": 2.5}, {"record_every": 1.5},
+    for bad in ({"minibatch_k": 1.5}, {"max_passes": 2.5}, {"seed": 1.5},
                 {"max_passes": 2.0}):
         with pytest.raises(ValueError, match="integer"):
             SolverConfig(**bad).validate()
-    SolverConfig(minibatch_k=np.int64(4), max_passes=np.int32(3), record_every=np.uint8(2)).validate()
+    SolverConfig(minibatch_k=np.int64(4), max_passes=np.int32(3), seed=np.uint8(2)).validate()
     for bad in ({"mu": np.nan}, {"mu": np.inf}, {"rho0": np.nan}, {"rho0": np.inf},
                 {"tol": np.nan}, {"tol": np.inf}, {"tol": "1"}, {"rho0": None}, {"mu": "1"}):
         with pytest.raises(ValueError, match="finite"):
             run(y, A, x, SolverConfig(**bad))
-    for bad in ({"minibatch_k": True}, {"max_passes": False}, {"record_every": True}):
+    for bad in ({"minibatch_k": True}, {"max_passes": False}, {"seed": True}):
         with pytest.raises(ValueError, match="integer"):
             SolverConfig(**bad).validate()
     with pytest.raises(ValueError):
@@ -688,21 +695,15 @@ class _CountingEnsemble(Ensemble):
 @pytest.mark.parametrize("alg", ["rwf", "wf"])
 @pytest.mark.parametrize("field", [REAL, COMPLEX])
 def test_run_batch_pass_reuses_monitored_product(alg, field):
-    # every pass needs one A z: the monitored one when the previous pass was
-    # recorded, its own otherwise; so P passes take P + 1 forward products
-    # at any stride, and the iterate does not depend on the stride
+    # every pass steps from the A z that the previous pass's monitor
+    # computed, so P passes take P + 1 forward products and P adjoints
     P = 7
     A, x, y = _instance(8, 48, field, seed=57)
     z0 = random_signal(8, field, substream(571))
-    iterates = []
-    for every in (1, 3, P):
-        counted = _CountingEnsemble(A)
-        cfg = SolverConfig(algorithm=alg, max_passes=P, tol=1e-300, record_every=every)
-        tr = run(y, counted, z0, cfg, x_opt=x)
-        assert tr.passes_used == P
-        assert (counted.applies, counted.adjoints) == (P + 1, P)
-        iterates.append(tr.iterate)
-    assert all(np.array_equal(iterates[0], z) for z in iterates[1:])
+    counted = _CountingEnsemble(A)
+    tr = run(y, counted, z0, SolverConfig(algorithm=alg, max_passes=P, tol=1e-300), x_opt=x)
+    assert tr.passes_used == P
+    assert (counted.applies, counted.adjoints) == (P + 1, P)
 
 
 @pytest.mark.parametrize(
@@ -934,7 +935,7 @@ def test_rwf_basin_contraction():
         p /= np.linalg.norm(p)
         z0 = x + 0.05 * np.linalg.norm(x) * p
         e0 = relative_error(z0, x)
-        cfg = SolverConfig(algorithm="rwf", max_passes=30, tol=1e-15, record_every=30)
+        cfg = SolverConfig(algorithm="rwf", max_passes=30, tol=1e-15)
         tr = run(y, A, z0, cfg, x_opt=x)
         if relative_error(tr.iterate, x) <= e0 / 10:
             hits += 1
@@ -951,8 +952,7 @@ def test_irwf_per_pass_contraction_is_geometric():
         p = random_signal(n, REAL, substream(56, t))
         p /= np.linalg.norm(p)
         z0 = x + 0.05 * np.linalg.norm(x) * p
-        cfg = SolverConfig(algorithm="irwf", max_passes=5, tol=1e-15,
-                           seed=700 + t, record_every=1)
+        cfg = SolverConfig(algorithm="irwf", max_passes=5, tol=1e-15, seed=700 + t)
         tr = run(y, A, z0, cfg, x_opt=x)
         for pp, e, _ in tr.history:
             errs[t, pp] = e
@@ -976,7 +976,7 @@ def test_minibatch_matches_single_sample_pass_count():
         z0 = x + 0.05 * np.linalg.norm(x) * p
         for k, acc in ((1, p1), (64, p64)):
             cfg = SolverConfig(algorithm="minibatch_irwf", minibatch_k=k,
-                               max_passes=30, tol=1e-10, seed=900 + t, record_every=1)
+                               max_passes=30, tol=1e-10, seed=900 + t)
             tr = run(y, A, z0, cfg, x_opt=x)
             acc.append(tr.passes_to(1e-10))
     assert None not in p1 and None not in p64
@@ -1008,7 +1008,7 @@ def test_rwf_converges_from_spectral_init():
         x = random_signal(n, REAL, substream(59, t))
         y = measure(A, x)
         init = spectral_initialize(y, A, seed=t)
-        cfg = SolverConfig(algorithm="rwf", max_passes=1000, tol=1e-5, record_every=1)
+        cfg = SolverConfig(algorithm="rwf", max_passes=1000, tol=1e-5)
         tr = run(y, A, init.z0, cfg, x_opt=x)
         assert tr.stop_reason == "tol"
         assert relative_error(tr.iterate, x) <= 1e-5
@@ -1038,7 +1038,7 @@ def test_bounded_noise_plateau():
     level = 0.01 * float(np.linalg.norm(x))
     y = measure(A, x, NoiseSpec(kind="bounded", level=level, seed=4))
     init = spectral_initialize(y, A, seed=0)
-    cfg = SolverConfig(algorithm="rwf", max_passes=200, tol=1e-12, record_every=1)
+    cfg = SolverConfig(algorithm="rwf", max_passes=200, tol=1e-12)
     tr = run(y, A, init.z0, cfg, x_opt=x)
     final = relative_error(tr.iterate, x)
     assert 1e-6 <= final <= 0.1
